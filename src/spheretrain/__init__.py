@@ -40,7 +40,7 @@ from .losses import (
 )
 from .optim import AdamW
 from .prototypes import PrototypeBank
-from .sampler import SampleSet, gather_columns, sample, scatter_gradients
+from .sampler import SampleSet, gather_columns, sample
 from .scheduler import Phase, StageState, css_score, step_scheduler
 from .tensor import Tensor, finite_difference_check
 
@@ -87,7 +87,6 @@ __all__ = [
     "sample",
     "sample_vmf",
     "save_checkpoint",
-    "scatter_gradients",
     "softmax_ce_loss",
     "step_scheduler",
     "tar_at_far",

@@ -6,8 +6,10 @@ prototypes, optimizer, scheduler, rng, config. Every section is a u64
 little-endian byte length followed by the payload; a payload is a u32 length
 plus a sorted-keys JSON header (array names/shapes and scalar metadata)
 followed by the arrays' raw bytes as little-endian float64 in header order.
-Round trips are bit-exact, which is what makes resumed runs reproduce
-uninterrupted ones.
+The prototypes section's metadata names the logistic mixing activation, the
+only one there is. Round trips are bit-exact, which is what makes resumed
+runs reproduce uninterrupted ones. Every malformed file raises
+``FileFormatError``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .scheduler import Phase, StageState
 MAGIC = b"LVPC"
 FORMAT_VERSION = 1
 _SECTIONS = ("encoder", "classifier", "prototypes", "optimizer", "scheduler", "rng", "config")
+_PROTOTYPE_META = {"activation": "logistic"}
 
 
 @dataclass
@@ -34,7 +37,6 @@ class Checkpoint:
     classifier: np.ndarray
     prototypes: np.ndarray
     prototypes_initialized: np.ndarray
-    prototype_activation: str
     optimizer_arrays: dict[str, np.ndarray]
     optimizer_counts: dict[str, int]
     stage: StageState
@@ -110,7 +112,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     sections["encoder"] = _encode_section({"arch": ckpt.encoder_arch}, ckpt.encoder_arrays)
     sections["classifier"] = _encode_section({}, {"weight": ckpt.classifier})
     sections["prototypes"] = _encode_section(
-        {"activation": ckpt.prototype_activation},
+        _PROTOTYPE_META,
         {
             "E": ckpt.prototypes,
             "initialized": ckpt.prototypes_initialized.astype(np.float64),
@@ -145,50 +147,56 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise FileFormatError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported checkpoint version {version}")
-    offset = 8
-    payloads: dict[str, bytes] = {}
-    for name in _SECTIONS:
-        if offset + 8 > len(raw):
-            raise FileFormatError(f"{path}: missing section {name!r}")
-        (length,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        if offset + length > len(raw):
-            raise FileFormatError(f"{path}: section {name!r} overruns file")
-        payloads[name] = raw[offset : offset + length]
-        offset += length
-    if offset != len(raw):
-        raise FileFormatError(f"{path}: trailing bytes after final section")
+    try:
+        (version,) = struct.unpack_from("<I", raw, 4)
+        if version != FORMAT_VERSION:
+            raise FileFormatError(f"{path}: unsupported checkpoint version {version}")
+        offset = 8
+        payloads: dict[str, bytes] = {}
+        for name in _SECTIONS:
+            if offset + 8 > len(raw):
+                raise FileFormatError(f"{path}: missing section {name!r}")
+            (length,) = struct.unpack_from("<Q", raw, offset)
+            offset += 8
+            if offset + length > len(raw):
+                raise FileFormatError(f"{path}: section {name!r} overruns file")
+            payloads[name] = raw[offset : offset + length]
+            offset += length
+        if offset != len(raw):
+            raise FileFormatError(f"{path}: trailing bytes after final section")
 
-    enc_meta, enc_arrays = _decode_section(payloads["encoder"])
-    _, cls_arrays = _decode_section(payloads["classifier"])
-    proto_meta, proto_arrays = _decode_section(payloads["prototypes"])
-    opt_meta, opt_arrays = _decode_section(payloads["optimizer"])
-    sched_meta, _ = _decode_section(payloads["scheduler"])
-    rng_meta, _ = _decode_section(payloads["rng"])
-    config_meta, _ = _decode_section(payloads["config"])
+        enc_meta, enc_arrays = _decode_section(payloads["encoder"])
+        _, cls_arrays = _decode_section(payloads["classifier"])
+        proto_meta, proto_arrays = _decode_section(payloads["prototypes"])
+        opt_meta, opt_arrays = _decode_section(payloads["optimizer"])
+        sched_meta, _ = _decode_section(payloads["scheduler"])
+        rng_meta, _ = _decode_section(payloads["rng"])
+        config_meta, _ = _decode_section(payloads["config"])
+        if proto_meta != _PROTOTYPE_META:
+            raise FileFormatError(f"{path}: unsupported prototype metadata {proto_meta!r}")
+        rng_state = _rng_state_from_json(rng_meta["state"])
+        np.random.Philox(0).state = rng_state  # raises on a state Philox cannot take
 
-    stage = StageState(
-        phase=Phase(sched_meta["phase"]),
-        css_raw=float(sched_meta["css_raw"]),
-        css_smoothed=(
-            None if sched_meta["css_smoothed"] is None else float(sched_meta["css_smoothed"])
-        ),
-        iteration=int(sched_meta["iteration"]),
-    )
-    return Checkpoint(
-        encoder_arch=enc_meta["arch"],
-        encoder_arrays=enc_arrays,
-        classifier=cls_arrays["weight"],
-        prototypes=proto_arrays["E"],
-        prototypes_initialized=proto_arrays["initialized"].astype(bool),
-        prototype_activation=str(proto_meta["activation"]),
-        optimizer_arrays=opt_arrays,
-        optimizer_counts={k: int(v) for k, v in opt_meta["counts"].items()},
-        stage=stage,
-        rng_state=_rng_state_from_json(rng_meta["state"]),
-        config={k: str(v) for k, v in config_meta["config"].items()},
-        version=version,
-    )
+        stage = StageState(
+            phase=Phase(sched_meta["phase"]),
+            css_raw=float(sched_meta["css_raw"]),
+            css_smoothed=(
+                None if sched_meta["css_smoothed"] is None else float(sched_meta["css_smoothed"])
+            ),
+            iteration=int(sched_meta["iteration"]),
+        )
+        return Checkpoint(
+            encoder_arch=enc_meta["arch"],
+            encoder_arrays=enc_arrays,
+            classifier=cls_arrays["weight"],
+            prototypes=proto_arrays["E"],
+            prototypes_initialized=proto_arrays["initialized"].astype(bool),
+            optimizer_arrays=opt_arrays,
+            optimizer_counts={k: int(v) for k, v in opt_meta["counts"].items()},
+            stage=stage,
+            rng_state=rng_state,
+            config={k: str(v) for k, v in config_meta["config"].items()},
+            version=version,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, struct.error) as exc:
+        raise FileFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc

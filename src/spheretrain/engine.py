@@ -1,16 +1,19 @@
 """The staged training loop.
 
-Training proceeds through three phases governed by the scheduler:
+Training proceeds through three phases governed by the scheduler. Each
+phase's loss is one ``losses.margin_log_sum_exp`` over (cosines, positive)
+parts:
 
-* alignment: cosine-margin loss over a sampled class subset. Every batch
-  positive is kept; negatives are a uniform sample of ratio r.
-* stabilization: same sampled classifier term plus a second penalty term
-  against the per-class prototype directions. Prototypes fold in the current
-  batch's features (forward-pass values, before the optimizer step) ahead of
-  the loss, so every batch positive is initialized by the time it is read.
-* refinement: both terms with the class sums over all C classes; sub-sampling
-  is off. The prototype sum is restricted to classes that have actually been
-  seen.
+* alignment: one part, the cosines to a sampled class subset with positive
+  cos_y - m. Every batch positive is kept; negatives are a uniform sample of
+  ratio r.
+* stabilization: that part with margin m1, plus the cosines to the initialized
+  per-class prototypes among the sampled classes, positive cos(e_y) - m2.
+  Prototypes fold in the current batch's features (forward-pass values,
+  before the optimizer step) ahead of the loss, so every batch positive is
+  initialized by the time it is read.
+* refinement: both parts over all C classes; sub-sampling is off. The
+  prototype part is restricted to classes that have actually been seen.
 
 One optimizer step per iteration with decoupled weight decay; classifier
 updates touch only the selected columns while sub-sampling is active, and the
@@ -32,15 +35,14 @@ from . import tensor as T
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import TrainConfig
 from .data import Dataset
-from .errors import ConfigError, NumericError, StateError
+from .errors import ConfigError
 from .losses import (
     ClassifierBank,
-    CosineLogits,
+    MarginSpec,
     cosface_loss,
     cosine_logits,
-    log_one_plus_ratio_sums,
-    margin_penalty_exponents,
-    negatives_mask,
+    margin_log_sum_exp,
+    margin_positive,
 )
 from .optim import AdamW
 from .prototypes import PrototypeBank
@@ -67,13 +69,6 @@ class LogRow:
         )
 
 
-def _finalize(per_sample: Tensor) -> Tensor:
-    bad = ~np.isfinite(per_sample.data[:, 0])
-    if bad.any():
-        raise NumericError(f"non-finite loss for sample index {int(np.argmax(bad))}")
-    return T.reduce_mean(per_sample)
-
-
 def loss_alignment(
     features: Tensor,
     labels: np.ndarray,
@@ -88,25 +83,29 @@ def loss_alignment(
     return cosface_loss(cosine_logits(features, columns, local), s, m)
 
 
-def _prototype_part(
+def _classifier_and_prototype_loss(
     features: Tensor,
     labels: np.ndarray,
-    prototype_bank: PrototypeBank,
+    columns: Tensor,
     class_ids: np.ndarray,
+    prototype_bank: PrototypeBank,
     s: float,
-    m: float,
-) -> tuple[Tensor, np.ndarray]:
+    m1: float,
+    m2: float,
+) -> Tensor:
+    """Classifier part over ``columns`` (the classes ``class_ids``) with margin
+    m1 plus a prototype part over the initialized ones among them with margin
+    m2, batch mean."""
     ids = prototype_bank.initialized_ids(class_ids)
-    lut = np.full(prototype_bank.num_classes, -1, dtype=np.int64)
-    lut[ids] = np.arange(ids.size)
-    local = lut[np.asarray(labels, dtype=np.int64)]
-    if (local < 0).any():
-        missing = int(np.asarray(labels)[np.argmax(local < 0)])
-        raise StateError(f"prototype for positive class {missing} is not initialized")
-    cos = CosineLogits(
-        values=prototype_bank.cos_to_prototypes(features, ids), label_column=local
-    )
-    return margin_penalty_exponents(cos, s, m), negatives_mask(cos)
+    parts = []
+    for cols, col_ids, m, where in (
+        (columns, class_ids, m1, "the classifier columns"),
+        (prototype_bank.columns(ids), ids, m2, "the initialized prototypes"),
+    ):
+        local = ncs.local_columns(col_ids, labels, prototype_bank.num_classes, where)
+        cos = cosine_logits(features, cols, local)
+        parts.append((cos, margin_positive(cos, MarginSpec.cosface(s, m))))
+    return T.reduce_mean(margin_log_sum_exp(parts, s))
 
 
 def loss_stabilization(
@@ -121,14 +120,10 @@ def loss_stabilization(
 ) -> Tensor:
     """Sampled classifier term with margin m1 plus a prototype term with
     margin m2 over the initialized part of the same column subset."""
-    columns = ncs.gather_columns(bank, sample_set)
-    local = sample_set.local_labels(labels)
-    cos_w = cosine_logits(features, columns, local)
-    part_w = (margin_penalty_exponents(cos_w, s, m1), negatives_mask(cos_w))
-    part_e = _prototype_part(
-        features, labels, prototype_bank, sample_set.global_ids, s, m2
+    return _classifier_and_prototype_loss(
+        features, labels, ncs.gather_columns(bank, sample_set), sample_set.global_ids,
+        prototype_bank, s, m1, m2,
     )
-    return _finalize(log_one_plus_ratio_sums([part_w, part_e]))
 
 
 def loss_refinement(
@@ -141,22 +136,18 @@ def loss_refinement(
     m2: float,
 ) -> Tensor:
     """Stabilization form with the class sums over all C classes."""
-    labels = np.asarray(labels, dtype=np.int64)
-    cos_w = cosine_logits(features, bank.weight, labels)
-    part_w = (margin_penalty_exponents(cos_w, s, m1), negatives_mask(cos_w))
-    part_e = _prototype_part(
-        features, labels, prototype_bank, np.arange(bank.num_classes), s, m2
+    return _classifier_and_prototype_loss(
+        features, labels, bank.weight, np.arange(bank.num_classes), prototype_bank, s, m1, m2
     )
-    return _finalize(log_one_plus_ratio_sums([part_w, part_e]))
 
 
 class _LogWriter:
-    def __init__(self, path: str | Path | None):
+    def __init__(self, path: str | Path | None, append: bool):
         self._fh = None
         if path is not None:
             path = Path(path)
-            fresh = not path.exists() or path.stat().st_size == 0
-            self._fh = open(path, "a")
+            fresh = not append or not path.exists() or path.stat().st_size == 0
+            self._fh = open(path, "a" if append else "w")
             if fresh:
                 self._fh.write(LOG_HEADER + "\n")
 
@@ -185,7 +176,6 @@ def _snapshot(
         classifier=bank.weight.data.copy(),
         prototypes=protos.E.copy(),
         prototypes_initialized=protos.initialized.copy(),
-        prototype_activation=protos.activation,
         optimizer_arrays={k: v.copy() for k, v in opt.state_arrays().items()},
         optimizer_counts=dict(opt.step_counts),
         stage=copy.copy(state),
@@ -209,7 +199,8 @@ def train(
     Philox stream seeded with ``config.seed``; batches and negative samples
     come from the same stream afterwards, which is what makes a run a pure
     function of (config, dataset). Passing ``resume`` continues a checkpoint
-    exactly where it stopped.
+    exactly where it stopped and appends to ``log_path``; a fresh run
+    overwrites it.
     """
     config.validate()
     n = dataset.size
@@ -240,7 +231,7 @@ def train(
             raise ConfigError(
                 f"checkpoint has {bank.num_classes} classes, dataset has {dataset.num_classes}"
             )
-        protos = PrototypeBank(bank.dim, bank.num_classes, resume.prototype_activation)
+        protos = PrototypeBank(bank.dim, bank.num_classes)
         protos.E = resume.prototypes.copy()
         protos.initialized = resume.prototypes_initialized.copy()
         opt = AdamW(config.beta1, config.beta2)
@@ -253,7 +244,7 @@ def train(
     params.append(("classifier", bank.weight))
 
     rows: list[LogRow] = []
-    log = _LogWriter(log_path)
+    log = _LogWriter(log_path, append=resume is not None)
     try:
         for it in range(state.iteration + 1, config.max_iterations + 1):
             batch_idx = rng.choice(n, size=config.batch_size_at(it), replace=False)

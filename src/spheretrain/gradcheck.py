@@ -225,55 +225,26 @@ def encoder_gradient_check(
 ) -> float:
     """Finite-difference check of d<probe, encode(inputs)>/d(parameters).
 
-    All encoder parameters are treated as one flat vector; ``max_coords``
-    coordinates are sampled for the numeric side. The encoder is left at its
-    original parameters afterwards.
+    All encoder parameters are viewed as one flat (1, P) row: during the
+    check each parameter tensor is replaced by a reshaped column slice of
+    that row, and ``max_coords`` of its coordinates are sampled for the
+    numeric side. The encoder gets its own parameter tensors back afterwards.
     """
-    params = encoder.params()
+    store = encoder._store._tensors
+    saved = dict(store)
+    names = [name for name, _ in encoder.params()]
+    bounds = np.cumsum([0] + [saved[n].size for n in names])
+    flat = np.concatenate([saved[n].data.reshape(-1) for n in names]).reshape(1, -1)
 
-    def objective() -> Tensor:
+    def objective(row: Tensor) -> Tensor:
+        for name, lo, hi in zip(names, bounds[:-1], bounds[1:]):
+            store[name] = T.reshape(T.gather_cols(row, np.arange(lo, hi)), saved[name].shape)
         return T.reduce_sum(T.mul(encoder.forward(inputs), Tensor(probe)))
 
-    out = objective()
-    out.backward()
-    analytic = np.concatenate(
-        [
-            (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
-            for _, t in params
-        ]
-    )
-    for _, t in params:
-        t.zero_grad()
-    flat0 = np.concatenate([t.data.reshape(-1) for _, t in params])
-
-    def load(flat: np.ndarray) -> None:
-        offset = 0
-        for _, t in params:
-            size = t.data.size
-            t.data = flat[offset : offset + size].reshape(t.shape).copy()
-            offset += size
-
-    for _, t in params:  # numeric sweeps need no graph
-        t.requires_grad = False
-    worst = 0.0
     try:
-        coords = rng.choice(flat0.size, size=min(max_coords, flat0.size), replace=False)
-        for i in coords:
-            bumped = flat0.copy()
-            bumped[i] += eps
-            load(bumped)
-            f_plus = objective().item()
-            bumped[i] -= 2 * eps
-            load(bumped)
-            f_minus = objective().item()
-            numeric = (f_plus - f_minus) / (2 * eps)
-            denom = max(1.0, abs(analytic[i]), abs(numeric))
-            worst = max(worst, abs(analytic[i] - numeric) / denom)
+        return finite_difference_check(objective, Tensor(flat), eps, max_coords, rng)
     finally:
-        load(flat0)
-        for _, t in params:
-            t.requires_grad = True
-    return worst
+        store.update(saved)
 
 
 def check_encoders(seed: int = 0, max_coords: int = 40) -> list[CheckResult]:

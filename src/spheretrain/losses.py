@@ -1,17 +1,21 @@
 """The angular-margin loss family over cosine logits.
 
 Every loss here operates on cosine similarities between unit-norm feature
-rows and unit-norm class-center columns. The general form penalizes the
-positive-class logit with up to three margins (multiplicative on the angle,
-additive on the angle, additive on the cosine before scaling):
+rows and unit-norm columns (class centers or prototypes). All of them are
+one primitive, ``margin_log_sum_exp``, over a list of parts. A part is a
+pair ``(cosines, positive)``: a ``CosineLogits`` block with each row's label
+column, and the margin-adjusted positive cosine of each row as a (B, 1)
+column. The per-sample loss is
 
-    loss_i = log(1 + sum_{j != y} exp(s*cos(theta_j))
-                   / exp(s*(cos(m1*theta_y + m2) - m3)))
+    loss_i = log(1 + sum over parts, sum_{j != y} exp(s*cos_j - s*positive_i))
 
-The additive cosine margin m3 is always applied as a penalty (subtracted
-from the positive logit). Batches are reduced by mean. All sums of
-exponentials are evaluated in log space so a scale of s = 64 never
-overflows.
+which is the ArcFace combined-margin softmax (arXiv:1801.07698) when the
+positive is cos(m1*theta_y + m2) - m3. Up to three margins penalize it:
+multiplicative on the angle, additive on the angle, additive on the cosine
+(``margin_positive``). The alignment loss is one classifier part; the
+stabilization and refinement losses add a prototype part. Batches are
+reduced by mean. The sum is evaluated as one log-sum-exp with a zero column
+standing for the leading 1, so a scale of s = 64 never overflows.
 """
 
 from __future__ import annotations
@@ -120,10 +124,6 @@ class CosineLogits:
     def batch_size(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def num_columns(self) -> int:
-        return self.values.shape[1]
-
 
 def cosine_logits(features: Tensor, columns: Tensor, labels) -> CosineLogits:
     """Dot products between unit feature rows and unit center columns.
@@ -154,54 +154,9 @@ def softmax_ce_loss(logits: Tensor, labels) -> Tensor:
     return T.reduce_mean(T.sub(lse, pos))
 
 
-def margin_penalty_exponents(cos: CosineLogits, s: float, m: float) -> Tensor:
-    """The exponent matrix s*cos_j - s*(cos_y - m) of the staged losses.
-
-    Row i, column j holds the log of one ratio term
-    exp(s*cos_j) / exp(s*(cos_y - m)); the label column itself is excluded
-    later via the combiner's mask.
-    """
-    pos = T.take_per_row(cos.values, cos.label_column)
-    shift = T.add(T.scale(pos, -s), s * m)
-    return T.add_colvec(T.scale(cos.values, s), shift)
-
-
-def log_one_plus_ratio_sums(parts: list[tuple[Tensor, np.ndarray]]) -> Tensor:
-    """Per-sample log(1 + sum over every included exponent), as a (B, 1) column.
-
-    Each part is an exponent matrix with a boolean include mask (False for
-    the positive column and anything else that must not enter the sum). The
-    leading constant 1 is realized as an always-included zero column, so the
-    whole expression is a single stabilized log-sum-exp.
-    """
-    if not parts:
-        raise ShapeError("need at least one exponent block")
-    rows = parts[0][0].shape[0]
-    zero = Tensor(np.zeros((rows, 1)))
-    blocks = [zero]
-    masks = [np.ones((rows, 1), dtype=bool)]
-    for exponents, mask in parts:
-        if exponents.shape[0] != rows:
-            raise ShapeError("exponent blocks disagree on batch size")
-        if mask.shape != exponents.shape:
-            raise ShapeError(
-                f"mask shape {mask.shape} does not match exponents {exponents.shape}"
-            )
-        blocks.append(exponents)
-        masks.append(mask)
-    padded = T.concat_cols(blocks)
-    include = np.concatenate(masks, axis=1)
-    return T.row_logsumexp(padded, include)
-
-
-def negatives_mask(cos: CosineLogits) -> np.ndarray:
-    mask = np.ones(cos.values.shape, dtype=bool)
-    mask[np.arange(cos.batch_size), cos.label_column] = False
-    return mask
-
-
-def unified_margin_per_sample(cos: CosineLogits, spec: MarginSpec) -> Tensor:
-    """Per-sample unified margin loss as a (B, 1) column."""
+def margin_positive(cos: CosineLogits, spec: MarginSpec) -> Tensor:
+    """The positive cosine with the margins applied, cos(m1*theta_y + m2) - m3,
+    as a (B, 1) column."""
     pos = T.take_per_row(cos.values, cos.label_column)
     if spec.m1 != 1.0 or spec.m2 != 0.0:
         theta = T.arccos(pos)
@@ -209,8 +164,28 @@ def unified_margin_per_sample(cos: CosineLogits, spec: MarginSpec) -> Tensor:
         pos = T.cos(angle)
     if spec.m3 != 0.0:
         pos = T.add(pos, -spec.m3)
-    shifted = T.add_colvec(T.scale(cos.values, spec.s), T.scale(pos, -spec.s))
-    per = log_one_plus_ratio_sums([(shifted, negatives_mask(cos))])
+    return pos
+
+
+def margin_log_sum_exp(parts: list[tuple[CosineLogits, Tensor]], s: float) -> Tensor:
+    """Per-sample log(1 + sum of exp(s*cos_j - s*positive)) over every part's
+    columns except its label column, as a (B, 1) column.
+
+    Raises ``NumericError`` naming the first sample whose loss is not finite.
+    """
+    if not parts:
+        raise ShapeError("need at least one (cosines, positive) part")
+    rows = parts[0][0].batch_size
+    blocks = [Tensor(np.zeros((rows, 1)))]
+    masks = [np.ones((rows, 1), dtype=bool)]
+    for cos, pos in parts:
+        if cos.batch_size != rows:
+            raise ShapeError("parts disagree on batch size")
+        blocks.append(T.add_colvec(T.scale(cos.values, s), T.scale(pos, -s)))
+        mask = np.ones(cos.values.shape, dtype=bool)
+        mask[np.arange(rows), cos.label_column] = False
+        masks.append(mask)
+    per = T.row_logsumexp(T.concat_cols(blocks), np.concatenate(masks, axis=1))
     bad = ~np.isfinite(per.data[:, 0])
     if bad.any():
         raise NumericError(f"non-finite loss for sample index {int(np.argmax(bad))}")
@@ -219,7 +194,7 @@ def unified_margin_per_sample(cos: CosineLogits, spec: MarginSpec) -> Tensor:
 
 def unified_margin_loss(cos: CosineLogits, spec: MarginSpec) -> Tensor:
     """Batch-mean unified margin loss."""
-    return T.reduce_mean(unified_margin_per_sample(cos, spec))
+    return T.reduce_mean(margin_log_sum_exp([(cos, margin_positive(cos, spec))], spec.s))
 
 
 def cosface_loss(cos: CosineLogits, s: float, m: float) -> Tensor:

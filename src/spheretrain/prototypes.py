@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
 from .errors import DomainError, ShapeError, StateError
-from .losses import COSINE_CLAMP
 from .tensor import Tensor
 
 _UNIT_TOLERANCE = 1e-6
@@ -30,14 +28,11 @@ class PrototypeBank:
     re-normalization. Uninitialized columns are never read.
     """
 
-    def __init__(self, dim: int, num_classes: int, activation: str = "logistic"):
+    def __init__(self, dim: int, num_classes: int):
         if dim < 2 or num_classes < 1:
             raise ShapeError(f"need dim >= 2 and at least one class, got {dim}, {num_classes}")
-        if activation != "logistic":
-            raise DomainError(f"unsupported activation {activation!r}")
         self.E = np.zeros((dim, num_classes), dtype=np.float64)
         self.initialized = np.zeros(num_classes, dtype=bool)
-        self.activation = activation
 
     @property
     def dim(self) -> int:
@@ -96,11 +91,10 @@ class PrototypeBank:
         ids = np.asarray(ids, dtype=np.int64)
         return ids[self.initialized[ids]]
 
-    def cos_to_prototypes(self, features: Tensor, class_ids) -> Tensor:
-        """Clamped cosines between feature rows and selected prototype columns.
-
-        Gradient flows to the features only; the prototype columns enter the
-        graph as constants. Querying an uninitialized class is an error.
+    def columns(self, class_ids) -> Tensor:
+        """The selected prototype columns as a d x k graph constant, so a
+        loss over them sends gradient to the features only. Querying an
+        uninitialized class is an error.
         """
         ids = np.asarray(class_ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_classes):
@@ -108,6 +102,5 @@ class PrototypeBank:
         missing = ids[~self.initialized[ids]]
         if missing.size:
             raise StateError(f"prototype for class {int(missing[0])} is not initialized")
-        columns = Tensor(self.E[:, ids].copy())
-        raw = T.matmul(features, columns)
-        return T.clip(raw, -1.0 + COSINE_CLAMP, 1.0 - COSINE_CLAMP)
+        # Fancy indexing yields F order; the C-order copy keeps matmul's rounding.
+        return Tensor(self.E[:, ids].copy())

@@ -8,8 +8,7 @@ selected columns; all other columns stay bit-identical through the step.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +18,25 @@ from .losses import ClassifierBank
 from .tensor import Tensor
 
 
+def local_columns(ids: np.ndarray, labels, num_classes: int, where: str) -> np.ndarray:
+    """Map global labels to their positions in ``ids``; a label that is not
+    in ``ids`` is a ``StateError`` saying it is missing from ``where``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    lut = np.full(num_classes, -1, dtype=np.int64)
+    lut[ids] = np.arange(ids.size)
+    local = lut[labels]
+    if (local < 0).any():
+        missing = int(labels[np.argmax(local < 0)])
+        raise StateError(f"positive class {missing} is missing from {where}")
+    return local
+
+
 @dataclass
 class SampleSet:
-    """Sorted selected class ids plus the global-to-local column mapping."""
+    """Sorted selected class ids out of ``num_classes``."""
 
     global_ids: np.ndarray
-    r: float
     num_classes: int
-    seed_state: dict = field(repr=False)
-    local_of_global: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = np.asarray(self.global_ids, dtype=np.int64)
@@ -36,7 +45,6 @@ class SampleSet:
         if np.unique(ids).size != ids.size:
             raise ShapeError("duplicate class ids in sample set")
         self.global_ids = np.sort(ids)
-        self.local_of_global = {int(g): i for i, g in enumerate(self.global_ids)}
 
     @property
     def size(self) -> int:
@@ -44,14 +52,7 @@ class SampleSet:
 
     def local_labels(self, labels) -> np.ndarray:
         """Map global batch labels to local column indices within the set."""
-        labels = np.asarray(labels, dtype=np.int64)
-        lut = np.full(self.num_classes, -1, dtype=np.int64)
-        lut[self.global_ids] = np.arange(self.size)
-        local = lut[labels]
-        if (local < 0).any():
-            missing = int(labels[np.argmax(local < 0)])
-            raise StateError(f"positive class {missing} is missing from the sample set")
-        return local
+        return local_columns(self.global_ids, labels, self.num_classes, "the sample set")
 
 
 def sample(num_classes: int, r: float, batch_labels, rng: np.random.Generator) -> SampleSet:
@@ -66,10 +67,8 @@ def sample(num_classes: int, r: float, batch_labels, rng: np.random.Generator) -
     labels = np.asarray(batch_labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ShapeError(f"label out of range for {num_classes} classes")
-    state = copy.deepcopy(rng.bit_generator.state)
     if r == 1.0:
-        ids = np.arange(num_classes, dtype=np.int64)
-        return SampleSet(global_ids=ids, r=r, num_classes=num_classes, seed_state=state)
+        return SampleSet(global_ids=np.arange(num_classes, dtype=np.int64), num_classes=num_classes)
     positives = np.unique(labels)
     target = max(1, round(num_classes * r))
     extra = target - positives.size
@@ -79,7 +78,7 @@ def sample(num_classes: int, r: float, batch_labels, rng: np.random.Generator) -
         ids = np.concatenate([positives, np.asarray(chosen, dtype=np.int64)])
     else:
         ids = positives
-    return SampleSet(global_ids=ids, r=r, num_classes=num_classes, seed_state=state)
+    return SampleSet(global_ids=ids, num_classes=num_classes)
 
 
 def gather_columns(bank: ClassifierBank, sample_set: SampleSet) -> Tensor:
@@ -90,15 +89,3 @@ def gather_columns(bank: ClassifierBank, sample_set: SampleSet) -> Tensor:
         )
     return T.gather_cols(bank.weight, sample_set.global_ids)
 
-
-def scatter_gradients(grad_sub: np.ndarray, sample_set: SampleSet, num_classes: int) -> np.ndarray:
-    """Adjoint of the gather: selected columns carry the gradient, the rest
-    are exact zeros."""
-    grad_sub = np.asarray(grad_sub, dtype=np.float64)
-    if grad_sub.ndim != 2 or grad_sub.shape[1] != sample_set.size:
-        raise ShapeError(
-            f"gradient shape {grad_sub.shape} does not match {sample_set.size} selected columns"
-        )
-    full = np.zeros((grad_sub.shape[0], num_classes), dtype=np.float64)
-    full[:, sample_set.global_ids] = grad_sub
-    return full

@@ -26,9 +26,6 @@ class Phase(enum.Enum):
     def index(self) -> int:
         return _PHASE_ORDER.index(self)
 
-    def next(self) -> "Phase":
-        return _PHASE_ORDER[min(self.index + 1, len(_PHASE_ORDER) - 1)]
-
 
 _PHASE_ORDER = (Phase.ALIGNMENT, Phase.STABILIZATION, Phase.REFINEMENT)
 

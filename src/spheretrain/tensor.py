@@ -57,10 +57,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A new leaf sharing this tensor's data, cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

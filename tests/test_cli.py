@@ -83,6 +83,15 @@ class TestTrainCommand:
         assert len(log) == 91
         assert log[61].split(",")[0] == "61"
 
+    def test_resume_from_corrupt_checkpoint_exits_one(self, tmp_path, sphere_train_config, capsys):
+        assert main(["train", "--config", sphere_train_config]) == 0
+        ckpt = tmp_path / "run.lvpc"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:20] + b"\xff" + blob[21:])
+        capsys.readouterr()
+        assert main(["train", "--config", sphere_train_config, "--resume", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.cfg")]) == 1
 

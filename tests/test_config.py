@@ -117,7 +117,6 @@ def toy_checkpoint(seed=0):
         classifier=rng.standard_normal((5, 7)),
         prototypes=rng.standard_normal((5, 7)),
         prototypes_initialized=np.array([True, False, True, False, True, True, False]),
-        prototype_activation="logistic",
         optimizer_arrays={"classifier.m": rng.standard_normal((5, 7)),
                           "classifier.v": rng.standard_normal((5, 7))},
         optimizer_counts={"classifier": 13},
@@ -179,6 +178,30 @@ class TestCheckpoint:
         save_checkpoint(p, ckpt)
         blob = p.read_bytes()
         p.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(FileFormatError):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda b: b[:20] + b"\xff" + b[21:],  # non-UTF-8 encoder header
+            lambda b: b[:20] + b"!" + b[21:],  # encoder header is not JSON
+            lambda b: b.replace(b'"meta"', b'"mexa"', 1),
+            lambda b: b.replace(b'"arrays"', b'"arrayz"', 1),
+            lambda b: b.replace(b'"arch"', b'"arcx"', 1),
+            lambda b: b.replace(b'"stabilization"', b'"stabilizatiox"', 1),
+            lambda b: b.replace(b'"logistic"', b'"logistix"', 1),
+            lambda b: b.replace(b'"Philox"', b'"Philoy"', 1),
+        ],
+        ids=["non-utf8", "not-json", "no-meta", "no-arrays", "no-arch", "unknown-phase",
+             "unknown-activation", "foreign-rng-state"],
+    )
+    def test_corrupt_header_rejected(self, tmp_path, corrupt):
+        p = tmp_path / "model.lvpc"
+        save_checkpoint(p, toy_checkpoint(6))
+        blob = p.read_bytes()
+        p.write_bytes(corrupt(blob))
+        assert p.read_bytes() != blob
         with pytest.raises(FileFormatError):
             load_checkpoint(p)
 

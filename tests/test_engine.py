@@ -65,10 +65,7 @@ class TestStageLosses:
 
     def test_alignment_missing_positive_rejected(self):
         _, feats, bank, labels = loss_setup(2)
-        wrong = SampleSet(
-            global_ids=np.array([int(labels[0])]), r=0.1,
-            num_classes=bank.num_classes, seed_state={},
-        )
+        wrong = SampleSet(global_ids=np.array([int(labels[0])]), num_classes=bank.num_classes)
         bad_labels = np.full_like(labels, (labels[0] + 1) % bank.num_classes)
         with pytest.raises(StateError):
             loss_alignment(feats, bad_labels, bank, wrong, 64.0, 0.4)
@@ -217,6 +214,15 @@ class TestTrainLoop:
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "alignment"
         assert len(first) == 6
+
+    def test_fresh_run_replaces_existing_log(self, tmp_path):
+        ds = sphere_fixture(4)
+        log = tmp_path / "run.csv"
+        for _ in range(2):
+            train(quick_config(max_iterations=3), ds, fresh_encoder(), log_path=log)
+        lines = log.read_text().splitlines()
+        assert lines[0] == LOG_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
 
     def test_resume_reproduces_uninterrupted_log(self, tmp_path):
         ds = sphere_fixture(5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spheretrain import tensor as T
 from spheretrain.errors import NumericError, ShapeError
@@ -10,12 +12,10 @@ from spheretrain.losses import (
     MarginSpec,
     cosface_loss,
     cosine_logits,
-    log_one_plus_ratio_sums,
-    margin_penalty_exponents,
-    negatives_mask,
+    margin_log_sum_exp,
+    margin_positive,
     softmax_ce_loss,
     unified_margin_loss,
-    unified_margin_per_sample,
 )
 from spheretrain.tensor import Tensor, finite_difference_check
 
@@ -27,6 +27,10 @@ def rng_for(seed):
 def unit_rows(rng, rows, dim):
     x = rng.standard_normal((rows, dim))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def per_sample(cos, spec):
+    return margin_log_sum_exp([(cos, margin_positive(cos, spec))], spec.s).data
 
 
 def random_setup(seed, batch=4, dim=8, classes=6):
@@ -153,13 +157,11 @@ class TestUnifiedMargin:
             values = rng.uniform(-0.99, 0.99, size=(batch, cols))
             labels = rng.integers(0, cols, size=batch)
             extra = rng.uniform(-0.99, 0.99, size=(batch, 1))
-            small = unified_margin_per_sample(
-                CosineLogits(Tensor(values), labels), MarginSpec.cosface(64.0, 0.4)
-            ).data
-            grown = unified_margin_per_sample(
+            small = per_sample(CosineLogits(Tensor(values), labels), MarginSpec.cosface(64.0, 0.4))
+            grown = per_sample(
                 CosineLogits(Tensor(np.hstack([values, extra])), labels),
                 MarginSpec.cosface(64.0, 0.4),
-            ).data
+            )
             assert (grown >= small).all()
 
     def test_negative_permutation_invariance(self):
@@ -236,10 +238,10 @@ class TestRatioCombiner:
         cos_w = CosineLogits(Tensor([[0.5, 0.1]]), [0])
         cos_e = CosineLogits(Tensor([[0.6, 0.2]]), [0])
         parts = [
-            (margin_penalty_exponents(cos_w, s, m1), negatives_mask(cos_w)),
-            (margin_penalty_exponents(cos_e, s, m2), negatives_mask(cos_e)),
+            (cos_w, margin_positive(cos_w, MarginSpec.cosface(s, m1))),
+            (cos_e, margin_positive(cos_e, MarginSpec.cosface(s, m2))),
         ]
-        per = log_one_plus_ratio_sums(parts)
+        per = margin_log_sum_exp(parts, s)
         assert abs(per.data[0, 0] - np.log(3.0)) < 1e-12
 
     def test_prototype_term_vanishes_when_far(self):
@@ -251,10 +253,84 @@ class TestRatioCombiner:
         values = np.zeros((1, k + 1))
         values[0, 0] = 1.0 - COSINE_CLAMP
         cos_e = CosineLogits(Tensor(values), [0])
-        per = log_one_plus_ratio_sums(
-            [(margin_penalty_exponents(cos_e, s, m2), negatives_mask(cos_e))]
+        per = margin_log_sum_exp(
+            [(cos_e, margin_positive(cos_e, MarginSpec.cosface(s, m2)))], s
         )
         assert per.data[0, 0] < 1e-12
+
+
+# A part as plain data: (cosines (B, K), label column per row, cosine margin m).
+_cosine = st.floats(-1.0 + COSINE_CLAMP, 1.0 - COSINE_CLAMP)
+
+
+@st.composite
+def margin_parts(draw):
+    batch = draw(st.integers(1, 4))
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        cols = draw(st.integers(2, 6))
+        values = [[draw(_cosine) for _ in range(cols)] for _ in range(batch)]
+        labels = [draw(st.integers(0, cols - 1)) for _ in range(batch)]
+        parts.append((values, labels, draw(st.floats(0.0, 0.5))))
+    return parts
+
+
+def primitive(parts, s):
+    """The primitive under test on plain-data parts, per sample."""
+    built = []
+    for values, labels, m in parts:
+        cos = CosineLogits(Tensor(values), labels)
+        built.append((cos, margin_positive(cos, MarginSpec.cosface(s, m))))
+    return margin_log_sum_exp(built, s).data[:, 0]
+
+
+def reference(parts, s):
+    """log1p of the sum of exponentials, straight from the definition."""
+    total = 0.0
+    for values, labels, m in parts:
+        values = np.asarray(values)
+        rows = np.arange(values.shape[0])
+        positive = values[rows, labels] - m
+        terms = np.exp(s * values - s * positive[:, None])
+        terms[rows, labels] = 0.0
+        total = total + terms.sum(axis=1)
+    return np.log1p(total)
+
+
+class TestMarginLogSumExp:
+    @settings(max_examples=60, deadline=None)
+    @given(margin_parts(), st.floats(1.0, 64.0))
+    # both sums equal one: cos_j = cos_y - m on each side, so ln 3
+    @example([([[0.5, 0.1]], [0], 0.4), ([[0.6, 0.2]], [0], 0.4)], 8.0)
+    # a prototype part with e_y = x and ten orthogonal e_j at s = 64, m = 0.4
+    # sums to 10 * exp(-64 * 0.6), invisible at double precision
+    @example([([[1.0 - COSINE_CLAMP] + [0.0] * 10], [0], 0.4)], 64.0)
+    def test_matches_numpy_reference(self, parts, s):
+        got, want = primitive(parts, s), reference(parts, s)
+        assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, want)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(margin_parts(), st.floats(1.0, 64.0), st.randoms(use_true_random=False))
+    def test_invariant_to_part_order_and_negative_order(self, parts, s, random):
+        shuffled = []
+        for values, labels, m in reversed(parts):
+            perm = list(range(len(values[0])))
+            random.shuffle(perm)
+            inverse = np.argsort(perm)
+            shuffled.append(([[row[j] for j in perm] for row in values],
+                             [int(inverse[y]) for y in labels], m))
+        base = primitive(parts, s)
+        assert np.allclose(primitive(shuffled, s), base, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(margin_parts(), st.floats(1.0, 64.0), st.data())
+    def test_an_added_negative_never_decreases_it(self, parts, s, data):
+        which = data.draw(st.integers(0, len(parts) - 1))
+        values, labels, m = parts[which]
+        extra = [row + [data.draw(_cosine)] for row in values]
+        grown = parts[:which] + [(extra, labels, m)] + parts[which + 1:]
+        small = primitive(parts, s)
+        assert (primitive(grown, s) >= small - 1e-12 * np.maximum(1.0, small)).all()
 
 
 class TestClassifierBank:

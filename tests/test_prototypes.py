@@ -3,7 +3,7 @@ import pytest
 
 from spheretrain import tensor as T
 from spheretrain.errors import DomainError, ShapeError, StateError
-from spheretrain.losses import COSINE_CLAMP
+from spheretrain.losses import COSINE_CLAMP, cosine_logits
 from spheretrain.prototypes import PrototypeBank, _logistic
 from spheretrain.tensor import Tensor
 
@@ -15,6 +15,12 @@ def rng_for(seed):
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def cos_to_prototypes(bank, features, class_ids):
+    """Clamped cosines between feature rows and the selected prototypes."""
+    labels = np.zeros(features.shape[0], dtype=np.int64)
+    return cosine_logits(features, bank.columns(class_ids), labels).values
 
 
 def unit_rows(rng, rows, dim):
@@ -126,13 +132,13 @@ class TestCosToPrototypes:
         bank = PrototypeBank(4, 2)
         x = unit([1.0, 0.0, 0.0, 0.0])
         bank.update(0, x)
-        cos = bank.cos_to_prototypes(Tensor(x.reshape(1, 4)), [0])
+        cos = cos_to_prototypes(bank, Tensor(x.reshape(1, 4)), [0])
         assert cos.data[0, 0] == 1.0 - COSINE_CLAMP
 
     def test_orthogonal_is_zero(self):
         bank = PrototypeBank(2, 1)
         bank.update(0, np.array([1.0, 0.0]))
-        cos = bank.cos_to_prototypes(Tensor(np.array([[0.0, 1.0]])), [0])
+        cos = cos_to_prototypes(bank, Tensor(np.array([[0.0, 1.0]])), [0])
         assert cos.data[0, 0] == 0.0
 
     def test_matches_scalar_loop(self):
@@ -141,7 +147,7 @@ class TestCosToPrototypes:
         for cls in range(4):
             bank.update(cls, unit_rows(rng, 1, 6)[0])
         feats = unit_rows(rng, 3, 6)
-        cos = bank.cos_to_prototypes(Tensor(feats), [2, 0, 3]).data
+        cos = cos_to_prototypes(bank, Tensor(feats), [2, 0, 3]).data
         for i, row in enumerate(feats):
             for j, cls in enumerate([2, 0, 3]):
                 expected = sum(row[k] * bank.E[k, cls] for k in range(6))
@@ -151,7 +157,7 @@ class TestCosToPrototypes:
         bank = PrototypeBank(4, 3)
         bank.update(0, unit([1.0, 0, 0, 0]))
         with pytest.raises(StateError, match="class 2"):
-            bank.cos_to_prototypes(Tensor(np.zeros((1, 4))), [0, 2])
+            bank.columns([0, 2])
 
     def test_gradient_reaches_features_only(self):
         rng = rng_for(6)
@@ -160,7 +166,7 @@ class TestCosToPrototypes:
             bank.update(cls, unit_rows(rng, 1, 5)[0])
         snapshot = bank.E.tobytes()
         feats = Tensor(unit_rows(rng, 2, 5), requires_grad=True)
-        out = T.reduce_sum(bank.cos_to_prototypes(feats, [0, 1, 2]))
+        out = T.reduce_sum(cos_to_prototypes(bank, feats, [0, 1, 2]))
         out.backward()
         assert feats.grad is not None
         assert bank.E.tobytes() == snapshot
