@@ -255,6 +255,7 @@ def train(
             sample_set = None
             if phase is not Phase.REFINEMENT:
                 sample_set = ncs.sample(dataset.num_classes, config.r, batch_labels, rng)
+            bank.lay_out(class_major=sample_set is not None)
             if phase is not Phase.ALIGNMENT:
                 protos.batch_update(batch_labels, features.data)
 

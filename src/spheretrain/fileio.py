@@ -7,8 +7,11 @@ Image file: magic ``LVIM``, then u32 version, u32 count, u32 width,
 u32 channels, count*width*width*channels float32 pixels (row major),
 count u32 labels.
 
-Pair protocol: CSV with header ``id_a,id_b,is_match`` and 0/1 match flags.
-Projection table: CSV with header ``coord1,coord2,label``.
+Pair protocol: UTF-8 CSV with header ``id_a,id_b,is_match`` and 0/1 match
+flags. Projection table: CSV with header ``coord1,coord2,label``.
+
+Every reader raises ``FileFormatError`` for input that does not match its
+layout, whatever is wrong with it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,13 @@ EMB_MAGIC = b"LVEM"
 IMG_MAGIC = b"LVIM"
 EMB_VERSION = 1
 IMG_VERSION = 1
+
+
+def _header_fields(raw: bytes, path, count: int) -> tuple[int, ...]:
+    """The ``count`` u32 header fields after the 4-byte magic."""
+    if len(raw) < 4 + 4 * count:
+        raise FileFormatError(f"{path}: file ends inside its header")
+    return struct.unpack_from(f"<{count}I", raw, 4)
 
 
 def write_embeddings(path: str | Path, features: np.ndarray, labels: np.ndarray) -> None:
@@ -46,7 +56,7 @@ def read_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:4] != EMB_MAGIC:
         raise FileFormatError(f"{path}: not an embedding file (bad magic)")
-    version, count, dim = struct.unpack_from("<III", raw, 4)
+    version, count, dim = _header_fields(raw, path, 3)
     if version != EMB_VERSION:
         raise FileFormatError(f"{path}: unsupported embedding version {version}")
     offset = 16
@@ -77,7 +87,7 @@ def read_images(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:4] != IMG_MAGIC:
         raise FileFormatError(f"{path}: not an image file (bad magic)")
-    version, count, width, channels = struct.unpack_from("<IIII", raw, 4)
+    version, count, width, channels = _header_fields(raw, path, 4)
     if version != IMG_VERSION:
         raise FileFormatError(f"{path}: unsupported image file version {version}")
     offset = 20
@@ -97,7 +107,10 @@ def write_pairs(path: str | Path, pairs: list[VerificationPair]) -> None:
 
 
 def read_pairs(path: str | Path) -> list[VerificationPair]:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != "id_a,id_b,is_match":
         raise FileFormatError(f"{path}: expected header 'id_a,id_b,is_match'")
     pairs = []
@@ -113,7 +126,10 @@ def read_pairs(path: str | Path) -> list[VerificationPair]:
             raise FileFormatError(f"{path}:{lineno}: non-integer field") from exc
         if flag not in (0, 1):
             raise FileFormatError(f"{path}:{lineno}: is_match must be 0 or 1")
-        pairs.append(VerificationPair(a, b, bool(flag)))
+        try:
+            pairs.append(VerificationPair(a, b, bool(flag)))
+        except ShapeError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
     return pairs
 
 

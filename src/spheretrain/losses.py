@@ -35,7 +35,18 @@ COSINE_CLAMP = 1e-7
 
 @dataclass
 class ClassifierBank:
-    """The d x C matrix of unit-norm class-center columns, as a trainable leaf."""
+    """The d x C matrix of unit-norm class-center columns, as a trainable leaf.
+
+    The weight keeps its (d, C) shape in one of two memory orders, set by
+    ``lay_out`` before each training step. A sampled step reads and writes
+    |set| columns (gather, optimizer, re-normalization); it runs on the
+    class-major (column-major) layout, where a class's d values are
+    contiguous, so that work does not stride across all C columns. A dense
+    step multiplies the whole weight, and BLAS rounds differently on a
+    column-major operand, so it runs on the row-major layout. Sampled steps
+    see the weight only through gathered blocks and per-element updates,
+    which do not depend on the layout, so results are the same either way.
+    """
 
     weight: Tensor
 
@@ -62,6 +73,18 @@ class ClassifierBank:
     def num_classes(self) -> int:
         return self.weight.shape[1]
 
+    def lay_out(self, class_major: bool) -> None:
+        """Store the weight column-major if ``class_major``, else row-major.
+
+        A no-op when it is already so; otherwise one copy, replacing
+        ``weight.data``.
+        """
+        w = self.weight.data
+        if class_major and not w.flags.f_contiguous:
+            self.weight.data = np.asfortranarray(w)
+        elif not class_major and not w.flags.c_contiguous:
+            self.weight.data = np.ascontiguousarray(w)
+
     def renormalize_columns(self, ids=None) -> None:
         """Rescale columns back to unit norm, touching only ``ids`` if given."""
         w = self.weight.data
@@ -69,7 +92,8 @@ class ClassifierBank:
             w /= np.linalg.norm(w, axis=0, keepdims=True)
         else:
             idx = np.asarray(ids, dtype=np.int64)
-            w[:, idx] /= np.linalg.norm(w[:, idx], axis=0, keepdims=True)
+            block = w[:, idx]
+            w[:, idx] = block / np.linalg.norm(block, axis=0, keepdims=True)
 
 
 @dataclass(frozen=True)

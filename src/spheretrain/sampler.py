@@ -4,6 +4,11 @@ Each iteration keeps every class that appears in the batch and fills the
 remaining slots with a uniform sample (without replacement) of the other
 classes, for a target size of max(1, round(C * r)). Gradients reach only the
 selected columns; all other columns stay bit-identical through the step.
+
+The negatives are drawn as ranks among the non-positive classes, so no
+array of all C ids is built: a draw costs O(|set| + P log P) for P
+positives, and takes the same ids and leaves the same rng state as drawing
+from the explicit candidate list would.
 """
 
 from __future__ import annotations
@@ -39,12 +44,12 @@ class SampleSet:
     num_classes: int
 
     def __post_init__(self):
-        ids = np.asarray(self.global_ids, dtype=np.int64)
+        ids = np.sort(np.asarray(self.global_ids, dtype=np.int64))
         if ids.size == 0:
             raise ShapeError("a sample set cannot be empty")
-        if np.unique(ids).size != ids.size:
+        if (np.diff(ids) == 0).any():
             raise ShapeError("duplicate class ids in sample set")
-        self.global_ids = np.sort(ids)
+        self.global_ids = ids
 
     @property
     def size(self) -> int:
@@ -61,6 +66,13 @@ def sample(num_classes: int, r: float, batch_labels, rng: np.random.Generator) -
     The target size is max(1, round(C * r)); if the batch has more distinct
     positives than that, the set grows to keep them all. r = 1 returns every
     class in order.
+
+    The negatives are ``rng.choice(C - P, extra, replace=False)`` ranks k
+    among the C - P non-positive classes. The k-th non-positive id is k plus
+    the number of positives p_i with p_i - i <= k (p_i - i counts the
+    non-positives below p_i). numpy draws an index into a candidate array in
+    just this way, so the ids and the rng state afterwards are those of
+    ``rng.choice(setdiff1d(arange(C), positives), extra, replace=False)``.
     """
     if not 0.0 < r <= 1.0:
         raise DomainError(f"sampling ratio must lie in (0, 1], got {r}")
@@ -73,9 +85,9 @@ def sample(num_classes: int, r: float, batch_labels, rng: np.random.Generator) -
     target = max(1, round(num_classes * r))
     extra = target - positives.size
     if extra > 0:
-        candidates = np.setdiff1d(np.arange(num_classes, dtype=np.int64), positives)
-        chosen = rng.choice(candidates, size=min(extra, candidates.size), replace=False)
-        ids = np.concatenate([positives, np.asarray(chosen, dtype=np.int64)])
+        ranks = rng.choice(num_classes - positives.size, size=extra, replace=False)
+        gaps = positives - np.arange(positives.size)
+        ids = np.concatenate([positives, ranks + np.searchsorted(gaps, ranks, side="right")])
     else:
         ids = positives
     return SampleSet(global_ids=ids, num_classes=num_classes)

@@ -15,6 +15,7 @@ from spheretrain.engine import (
 )
 from spheretrain.errors import ConfigError, StateError
 from spheretrain.losses import ClassifierBank, cosface_loss, cosine_logits
+from spheretrain.optim import AdamW
 from spheretrain.prototypes import PrototypeBank
 from spheretrain.sampler import SampleSet, sample
 from spheretrain.scheduler import Phase
@@ -244,6 +245,29 @@ class TestTrainLoop:
         assert resumed_ckpt.classifier.tobytes() == full.classifier.tobytes()
         for name, arr in full.encoder_arrays.items():
             assert resumed_ckpt.encoder_arrays[name].tobytes() == arr.tobytes()
+
+    def test_classifier_layout_follows_the_step_through_resume(self, tmp_path, monkeypatch):
+        """Sampled steps see a column-major classifier and moments, dense
+        steps row-major ones, in a fresh run and in a resumed one."""
+        layouts = []
+        step = AdamW.step
+
+        def recording_step(self, name, param, grad, *args, columns=None, **kwargs):
+            step(self, name, param, grad, *args, columns=columns, **kwargs)
+            if name == "classifier":
+                arrays = (param, *self.moments[name])
+                layouts.append((columns is not None,
+                                [a.flags.f_contiguous and not a.flags.c_contiguous
+                                 for a in arrays]))
+
+        monkeypatch.setattr(AdamW, "step", recording_step)
+        ds = sphere_fixture(5)
+        half = tmp_path / "half.lvpc"
+        train(quick_config(max_iterations=60), ds, fresh_encoder(), checkpoint_path=half)
+        train(quick_config(), ds, fresh_encoder(), resume=load_checkpoint(half))
+        assert len(layouts) == 120
+        assert {sampled for sampled, _ in layouts} == {True, False}
+        assert all(column_major == [sampled] * 3 for sampled, column_major in layouts)
 
     def test_unselected_columns_untouched_in_sampled_stages(self):
         ds = sphere_fixture(6, classes=12)

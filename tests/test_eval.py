@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheretrain.errors import (
     DegenerateInputError,
@@ -279,6 +281,26 @@ class TestFileFormats:
         with pytest.raises(FileFormatError):
             read_pairs(path)
 
+    @pytest.mark.parametrize("reader, magic", [(read_embeddings, b"LVEM"), (read_images, b"LVIM")])
+    def test_header_shorter_than_its_fields(self, tmp_path, reader, magic):
+        path = tmp_path / "short.bin"
+        path.write_bytes(magic + b"\x01\x00")  # 6 bytes: magic, half a version
+        with pytest.raises(FileFormatError):
+            reader(path)
+
+    def test_pairs_not_utf8(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(b"id_a,id_b,is_match\n0,\xff1,1\n")
+        with pytest.raises(FileFormatError):
+            read_pairs(path)
+
+    @pytest.mark.parametrize("line", ["3,3,1", "-1,2,0"])
+    def test_pairs_invalid_pair(self, tmp_path, line):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"id_a,id_b,is_match\n{line}\n")
+        with pytest.raises(FileFormatError):
+            read_pairs(path)
+
     def test_projection_csv(self, tmp_path):
         rng = rng_for(14)
         feats = unit_rows(rng, 10, 4)
@@ -288,3 +310,52 @@ class TestFileFormats:
         lines = path.read_text().splitlines()
         assert lines[0] == "coord1,coord2,label"
         assert len(lines) == 11
+
+
+def _valid_files(tmp_path) -> dict:
+    """One small valid file per reader, as (reader, bytes)."""
+    rng = rng_for(15)
+    write_embeddings(tmp_path / "e.lvem", rng.standard_normal((3, 2)), np.arange(3))
+    write_images(tmp_path / "i.lvim", rng.uniform(size=(2, 2, 2, 1)), np.arange(2))
+    write_pairs(tmp_path / "p.csv", [VerificationPair(0, 1, True), VerificationPair(2, 10, False)])
+    return {
+        "embeddings": (read_embeddings, (tmp_path / "e.lvem").read_bytes()),
+        "images": (read_images, (tmp_path / "i.lvim").read_bytes()),
+        "pairs": (read_pairs, (tmp_path / "p.csv").read_bytes()),
+    }
+
+
+class TestReaderFuzz:
+    """Every truncation and byte corruption of a valid file either loads or
+    raises ``FileFormatError``; nothing else escapes a reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["embeddings", "images", "pairs"]),
+        cut=st.floats(0.0, 1.0),
+        flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 255)), max_size=4),
+    )
+    def test_corrupt_file_loads_or_raises_format_error(self, tmp_path_factory, kind, cut, flips):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        reader, blob = _valid_files(tmp_path)[kind]
+        data = bytearray(blob[: int(cut * len(blob))])
+        for where, value in flips:
+            if data:
+                data[min(int(where * len(data)), len(data) - 1)] = value
+        path = tmp_path / "corrupt"
+        path.write_bytes(bytes(data))
+        try:
+            reader(path)
+        except FileFormatError:
+            pass
+
+    @pytest.mark.parametrize("kind", ["embeddings", "images", "pairs"])
+    def test_every_truncation(self, tmp_path, kind):
+        reader, blob = _valid_files(tmp_path)[kind]
+        path = tmp_path / "cut"
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            try:
+                reader(path)
+            except FileFormatError:
+                pass

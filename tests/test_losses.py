@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spheretrain import tensor as T
+from spheretrain.engine import loss_alignment
 from spheretrain.errors import NumericError, ShapeError
 from spheretrain.losses import (
     COSINE_CLAMP,
@@ -17,6 +18,8 @@ from spheretrain.losses import (
     softmax_ce_loss,
     unified_margin_loss,
 )
+from spheretrain.sampler import sample
+from spheretrain.scheduler import css_score
 from spheretrain.tensor import Tensor, finite_difference_check
 
 
@@ -351,3 +354,51 @@ class TestClassifierBank:
     def test_too_small(self):
         with pytest.raises(ShapeError):
             ClassifierBank(weight=Tensor(np.ones((4, 1))))
+
+    def test_lay_out_switches_memory_order_not_values(self):
+        w = rng_for(11).standard_normal((6, 9))
+        bank = ClassifierBank(weight=Tensor(w.copy()))
+        for class_major in (True, True, False, True):
+            bank.lay_out(class_major)
+            data = bank.weight.data
+            assert (data.flags.f_contiguous, data.flags.c_contiguous) == (class_major, not class_major)
+            assert data.tobytes(order="C") == w.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 40), dim=st.integers(2, 40), classes=st.integers(2, 300),
+           r=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(batch=16, dim=32, classes=10, r=1.0, seed=0)
+    def test_sampled_step_does_not_depend_on_the_layout(self, batch, dim, classes, r, seed):
+        """The sampled loss, both gradients, the CSS score and the sampled
+        re-normalization are bit-identical on either layout."""
+        rng = rng_for(seed)
+        feats = unit_rows(rng, batch, dim)
+        w = rng.uniform(-1.0, 1.0, size=(dim, classes))
+        labels = rng.integers(0, classes, size=batch)
+        sset = sample(classes, r, labels, rng)
+        results = []
+        for class_major in (False, True):
+            bank = ClassifierBank(weight=Tensor(w.copy(), requires_grad=True))
+            bank.lay_out(class_major)
+            f = Tensor(feats, requires_grad=True)
+            loss = loss_alignment(f, labels, bank, sset, 64.0, 0.4)
+            loss.backward()
+            css = css_score(feats, bank.weight.data, labels)
+            bank.renormalize_columns(sset.global_ids)
+            results.append((loss.data.tobytes(), f.grad.tobytes(),
+                            bank.weight.grad.tobytes(order="C"), css,
+                            bank.weight.data.tobytes(order="C")))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("classes", [3, 512, 1300])
+    def test_sampled_renormalize_matches_dividing_in_place(self, classes):
+        rng = rng_for(13)
+        w = rng.uniform(-2.0, 2.0, size=(24, classes))
+        ids = np.sort(rng.choice(classes, size=max(1, classes // 3), replace=False))
+        expected = w.copy()
+        expected[:, ids] /= np.linalg.norm(w[:, ids], axis=0, keepdims=True)
+        for class_major in (False, True):
+            bank = ClassifierBank(weight=Tensor(w.copy()))
+            bank.lay_out(class_major)
+            bank.renormalize_columns(ids)
+            assert bank.weight.data.tobytes(order="C") == expected.tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,92 @@ class TestAdamW:
         assert fresh.step_counts == opt.step_counts
         np.testing.assert_array_equal(fresh.moments["a"][0], opt.moments["a"][0])
         np.testing.assert_array_equal(fresh.moments["a"][1], opt.moments["a"][1])
+
+
+def column_major(a):
+    return np.asfortranarray(a)
+
+
+class TestRestrictedStep:
+    """``columns=`` steps on a class-contiguous (column-major) parameter."""
+
+    def sparse_grad(self, rng, shape, cols):
+        g = np.zeros(shape, order="F")
+        g[:, cols] = rng.standard_normal((shape[0], len(cols)))
+        return g
+
+    def test_unselected_columns_and_moments_bit_identical(self):
+        rng = rng_for(7)
+        p = column_major(rng.standard_normal((5, 30)))
+        opt = AdamW()
+        opt.step("p", p, column_major(rng.standard_normal((5, 30))), lr=0.01, weight_decay=0.2)
+        for _ in range(4):
+            cols = np.sort(rng.choice(30, size=6, replace=False))
+            others = np.setdiff1d(np.arange(30), cols)
+            m, v = opt.moments["p"]
+            before = [a[:, others].tobytes() for a in (p, m, v)]
+            selected = [a[:, cols].copy() for a in (p, m, v)]
+            opt.step("p", p, self.sparse_grad(rng, p.shape, cols), lr=0.01, weight_decay=0.2,
+                     columns=cols)
+            m, v = opt.moments["p"]
+            assert [a[:, others].tobytes() for a in (p, m, v)] == before
+            assert all((a[:, cols] != b).any() for a, b in zip((p, m, v), selected))
+
+    def test_layout_does_not_change_the_bits(self):
+        """A parameter that switches memory order between steps, as the
+        classifier does between sampled and dense steps, gets the bits of
+        one that stays row-major, and its moments follow its order."""
+        rng = rng_for(8)
+        p_rows = rng.standard_normal((4, 25))
+        p_switch = p_rows.copy()
+        by_rows, by_switch = AdamW(), AdamW()
+        for step in range(6):
+            cols = np.sort(rng.choice(25, size=7, replace=False)) if step % 3 else None
+            p_switch = column_major(p_switch) if step % 2 else np.ascontiguousarray(p_switch)
+            g = rng.standard_normal((4, 25))
+            by_rows.step("p", p_rows, g, lr=0.03, weight_decay=0.1, columns=cols)
+            by_switch.step("p", p_switch, column_major(g) if step % 2 else g,
+                           lr=0.03, weight_decay=0.1, columns=cols)
+            assert all(a.strides == p_switch.strides for a in by_switch.moments["p"])
+        assert p_rows.tobytes() == p_switch.tobytes(order="C")
+
+    def test_nan_in_selected_column_names_its_class(self):
+        p = column_major(np.ones((3, 50)))
+        g = np.zeros((3, 50), order="F")
+        g[2, 37] = np.nan
+        opt = AdamW()
+        with pytest.raises(NumericError, match=r"'classifier' at index \(2, 37\)"):
+            opt.step("classifier", p, g, lr=0.1, columns=np.array([5, 37, 40]))
+        assert (p == 1.0).all() and "classifier" not in opt.step_counts
+
+    def test_only_selected_columns_are_checked(self):
+        p = column_major(np.ones((3, 50)))
+        g = np.zeros((3, 50), order="F")
+        g[0, 6] = np.inf  # outside the selected columns
+        g[:, 5] = 1.0
+        AdamW().step("p", p, g, lr=0.1, columns=np.array([5, 37]))
+        assert (p[:, 5] < 1.0).all() and (p[:, 6] == 1.0).all()
+
+
+def restricted_step_peak_bytes(num_classes, dim=32, selected=1000):
+    """Peak traced allocation of one ``columns=`` step once the moments exist."""
+    rng = rng_for(10)
+    p = column_major(rng.uniform(-1.0, 1.0, size=(dim, num_classes)))
+    ids = np.sort(rng.choice(num_classes, size=selected, replace=False))
+    g = np.zeros_like(p)
+    g[:, ids] = rng.standard_normal((dim, selected))
+    opt = AdamW()
+    opt.step("classifier", p, g, lr=1e-3, weight_decay=0.1, columns=ids)
+    tracemalloc.start()
+    try:
+        opt.step("classifier", p, g, lr=1e-3, weight_decay=0.1, columns=ids)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_restricted_step_allocation_does_not_grow_with_classes():
+    small, large = restricted_step_peak_bytes(10_000), restricted_step_peak_bytes(100_000)
+    # Equal up to numpy's bookkeeping (a few hundred bytes); one temporary
+    # over all C columns would add at least d * C = 3.2 MB at C = 100k.
+    assert abs(large - small) < 0.01 * small, f"peak {large} bytes at C = 100k vs {small} at 10k"

@@ -1,7 +1,10 @@
 import copy
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spheretrain import tensor as T
 from spheretrain.errors import DomainError, ShapeError
@@ -103,6 +106,46 @@ class TestSample:
         sset = sample(20, 0.5, [4, 17, 4], rng_for(10))
         local = sset.local_labels([4, 17, 4])
         np.testing.assert_array_equal(sset.global_ids[local], [4, 17, 4])
+
+
+def candidate_list_sample(num_classes, r, labels, rng):
+    """The draw ``sample`` made before it stopped listing all C ids: every
+    non-positive id in a candidate array, then ``rng.choice`` from it."""
+    positives = np.unique(np.asarray(labels, dtype=np.int64))
+    extra = max(1, round(num_classes * r)) - positives.size
+    if extra <= 0:
+        return positives
+    candidates = np.setdiff1d(np.arange(num_classes, dtype=np.int64), positives)
+    chosen = rng.choice(candidates, size=min(extra, candidates.size), replace=False)
+    return np.sort(np.concatenate([positives, chosen]))
+
+
+def rng_state(rng):
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@st.composite
+def sampling_cases(draw):
+    num_classes = draw(st.integers(2, 3000))
+    r = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=1, max_size=64))
+    return num_classes, r, labels, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSampleMatchesCandidateListDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sampling_cases())
+    @example(case=(10, 0.1, [3, 3, 7, 0], 1))  # positives already fill the target
+    @example(case=(5, 0.99, [0, 1, 2, 3], 2))  # one candidate left
+    @example(case=(3000, 0.5, list(range(0, 3000, 47)), 3))
+    def test_same_ids_and_rng_state(self, case):
+        num_classes, r, labels, seed = case
+        rng_new, rng_old = rng_for(seed), rng_for(seed)
+        got = sample(num_classes, r, labels, rng_new)
+        np.testing.assert_array_equal(
+            got.global_ids, candidate_list_sample(num_classes, r, labels, rng_old)
+        )
+        assert rng_state(rng_new) == rng_state(rng_old)
 
 
 class TestGatherScatter:

@@ -208,6 +208,23 @@ class TestShapeAlgebra:
             x.grad, [[1.0, 0, 1, 0], [1, 0, 1, 0], [1, 0, 1, 0]]
         )
 
+    def test_gather_rejects_duplicate_ids(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        with pytest.raises(ShapeError, match="distinct"):
+            T.gather_cols(x, [2, 0, 2])
+
+    def test_gather_adjoint_keeps_column_major_layout(self):
+        data = np.arange(15.0).reshape(3, 5)
+        g = np.arange(6.0).reshape(3, 2) + 0.5
+        grads = []
+        for layout in (data, np.asfortranarray(data)):
+            x = Tensor(layout, requires_grad=True)
+            T.reduce_sum(T.mul(T.gather_cols(x, [4, 1]), Tensor(g))).backward()
+            grads.append(x.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+        assert grads[1].flags.f_contiguous and not grads[1].flags.c_contiguous
+        np.testing.assert_array_equal(grads[1][:, [4, 1]], g)
+
     def test_take_per_row(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         out = T.take_per_row(x, [2, 0])
