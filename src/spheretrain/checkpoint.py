@@ -10,6 +10,11 @@ The prototypes section's metadata names the logistic mixing activation, the
 only one there is. Round trips are bit-exact, which is what makes resumed
 runs reproduce uninterrupted ones. Every malformed file raises
 ``FileFormatError``.
+
+Version 2 names each ViT layer's attention parameters ``attn_qkv.w`` /
+``attn_qkv.b`` (one fused q/k/v projection) where version 1 had per-head
+``head{h}.w{q,k,v}`` / ``head{h}.b{q,k,v}``. Files of any other version,
+version 1 included, are rejected with a ``FileFormatError`` naming it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import FileFormatError
 from .scheduler import Phase, StageState
 
 MAGIC = b"LVPC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _SECTIONS = ("encoder", "classifier", "prototypes", "optimizer", "scheduler", "rng", "config")
 _PROTOTYPE_META = {"activation": "logistic"}
 

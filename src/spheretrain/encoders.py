@@ -9,8 +9,7 @@ the unit sphere.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,41 +82,63 @@ class ViTConfig:
         }
 
 
-def patchify(image: np.ndarray, config: ViTConfig) -> np.ndarray:
-    """Cut a W x W x C image into non-overlapping patches, one flattened
-    patch per row, patches ordered row-major over the grid."""
-    image = np.asarray(image, dtype=np.float64)
+def patchify(images: np.ndarray, config: ViTConfig) -> np.ndarray:
+    """Cut W x W x C images into non-overlapping patches, one flattened patch
+    per row, patches ordered row-major over the grid.
+
+    Leading axes are batch axes: one image gives (N, P) rows, a (B, W, W, C)
+    batch gives (B*N, P) rows, image by image.
+    """
+    images = np.asarray(images, dtype=np.float64)
     expected = (config.image_width, config.image_width, config.channels)
-    if image.shape != expected:
-        raise ShapeError(f"image shape {image.shape} does not match config {expected}")
+    if images.ndim < 3 or images.shape[-3:] != expected:
+        raise ShapeError(f"image shape {images.shape} does not match config {expected}")
     s, g = config.patch_stride, config.grid
-    rows = image.reshape(g, s, g, s, config.channels)
-    rows = rows.transpose(0, 2, 1, 3, 4)
-    return rows.reshape(config.num_patches, config.patch_len)
+    rows = images.reshape(-1, g, s, g, s, config.channels)
+    rows = rows.transpose(0, 1, 3, 2, 4, 5)
+    return rows.reshape(-1, config.patch_len)
 
 
 class _ParamStore:
     """Ordered named parameters with kind-aware initialization."""
 
     def __init__(self):
-        self._specs: list[tuple[str, tuple[int, ...], str]] = []
+        self._specs: list[tuple[str, tuple[int, ...], str, tuple | None]] = []
         self._tensors: dict[str, Tensor] = {}
 
-    def declare(self, name: str, shape: tuple[int, ...], kind: str) -> None:
-        self._specs.append((name, shape, kind))
+    def declare(self, name: str, shape: tuple[int, ...], kind: str, draw=None) -> None:
+        """``draw`` = (draw_shape, axes): a weight drawn in another shape, then
+        transposed by ``axes`` and reshaped, e.g. a fused weight's blocks."""
+        self._specs.append((name, shape, kind, draw))
         self._tensors[name] = Tensor(np.zeros(shape), requires_grad=True)
+
+    def declare_affine(self, name: str, fan_in: int, fan_out: int, draw=None) -> None:
+        self.declare(name + ".w", (fan_in, fan_out), "weight", draw)
+        self.declare(name + ".b", (fan_out,), "bias")
+
+    def declare_norm(self, name: str, dim: int) -> None:
+        self.declare(name + ".gain", (dim,), "gain")
+        self.declare(name + ".bias", (dim,), "bias")
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
+
+    def affine(self, x: Tensor, name: str) -> Tensor:
+        """x @ ``name.w`` + ``name.b``."""
+        return T.add_rowvec(T.matmul(x, self[name + ".w"]), self[name + ".b"])
+
+    def layer_norm(self, x: Tensor, name: str) -> Tensor:
+        return T.layer_norm(x, self[name + ".gain"], self[name + ".bias"])
 
     def init(self, rng: np.random.Generator, weight_std: float = INIT_STD) -> None:
         """Weights ~ N(0, weight_std), biases zero, normalization gains one;
         drawn in declaration order so the rng stream is reproducible. The
         default matches the training recipe; gradient checks pass a larger
         std so the unit normalization is well conditioned at the probe point."""
-        for name, shape, kind in self._specs:
+        for name, shape, kind, draw in self._specs:
             if kind == "weight":
-                data = rng.normal(0.0, weight_std, size=shape)
+                draw_shape, axes = draw or (shape, tuple(range(len(shape))))
+                data = rng.normal(0.0, weight_std, size=draw_shape).transpose(axes).reshape(shape)
             elif kind == "bias":
                 data = np.zeros(shape)
             elif kind == "gain":
@@ -127,13 +148,13 @@ class _ParamStore:
             self._tensors[name] = Tensor(data, requires_grad=True)
 
     def items(self) -> list[tuple[str, Tensor]]:
-        return [(name, self._tensors[name]) for name, _, _ in self._specs]
+        return [(name, self._tensors[name]) for name, *_ in self._specs]
 
     def num_params(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape, _ in self._specs)
+        return sum(int(np.prod(shape)) for _, shape, *_ in self._specs)
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, shape, _ in self._specs:
+        for name, shape, *_ in self._specs:
             if name not in arrays:
                 raise ConfigError(f"checkpoint is missing parameter {name!r}")
             arr = np.asarray(arrays[name], dtype=np.float64)
@@ -154,10 +175,8 @@ class MLPEncoder:
         self.hidden_dim = hidden_dim
         self.embed_dim = embed_dim
         self._store = _ParamStore()
-        self._store.declare("fc1.w", (input_dim, hidden_dim), "weight")
-        self._store.declare("fc1.b", (hidden_dim,), "bias")
-        self._store.declare("fc2.w", (hidden_dim, embed_dim), "weight")
-        self._store.declare("fc2.b", (embed_dim,), "bias")
+        self._store.declare_affine("fc1", input_dim, hidden_dim)
+        self._store.declare_affine("fc2", hidden_dim, embed_dim)
 
     def init(self, rng: np.random.Generator, weight_std: float = INIT_STD) -> None:
         self._store.init(rng, weight_std)
@@ -172,11 +191,8 @@ class MLPEncoder:
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"expected (batch, {self.input_dim}) inputs, got {x.shape}")
-        p = self._store
-        h = T.add_rowvec(T.matmul(Tensor(x), p["fc1.w"]), p["fc1.b"])
-        h = T.gelu(h)
-        out = T.add_rowvec(T.matmul(h, p["fc2.w"]), p["fc2.b"])
-        return T.l2_normalize_rows(out)
+        h = T.gelu(self._store.affine(Tensor(x), "fc1"))
+        return T.l2_normalize_rows(self._store.affine(h, "fc2"))
 
     def describe(self) -> dict:
         return {
@@ -198,9 +214,15 @@ class ViTEncoder:
         u = tokens + attention(LN(tokens))
         tokens = u + ffn(LN(u))
 
-    The head flattens the final token sequence row-major and applies
+    The head flattens each image's final token sequence row-major and applies
     fc -> layer norm -> gelu -> fc before the unit normalization. Attention
     scores are scaled by 1/sqrt(head_dim).
+
+    A batch of B images runs as one graph: its B*N patch tokens are the rows
+    of every layer, so layer norms, projections and the FFN are single row-wise
+    ops, and ``tensor.attention`` keeps each image's N rows to themselves. Each
+    layer has one fused (D, 3D) projection ``attn_qkv.w`` with columns
+    [q | k | v]; head h owns columns h*dh .. (h+1)*dh of each block.
     """
 
     def __init__(self, config: ViTConfig):
@@ -209,31 +231,20 @@ class ViTEncoder:
         store = _ParamStore()
         store.declare("patch_embed", (config.patch_len, config.token_dim), "weight")
         store.declare("pos_embed", (config.num_patches, config.token_dim), "weight")
-        d, dh = config.token_dim, config.head_dim
+        d, dh, heads = config.token_dim, config.head_dim, config.heads
+        # Drawn head by head, q/k/v within a head, each block a (d, dh) draw.
+        qkv_draw = ((heads, 3, d, dh), (2, 1, 0, 3))
         for i in range(config.layers):
             pre = f"layer{i}."
-            store.declare(pre + "attn_ln.gain", (d,), "gain")
-            store.declare(pre + "attn_ln.bias", (d,), "bias")
-            for h in range(config.heads):
-                hp = pre + f"head{h}."
-                for proj in ("q", "k", "v"):
-                    store.declare(hp + f"w{proj}", (d, dh), "weight")
-                    store.declare(hp + f"b{proj}", (dh,), "bias")
-            store.declare(pre + "attn_out.w", (d, d), "weight")
-            store.declare(pre + "attn_out.b", (d,), "bias")
-            store.declare(pre + "ffn_ln.gain", (d,), "gain")
-            store.declare(pre + "ffn_ln.bias", (d,), "bias")
-            store.declare(pre + "ffn1.w", (d, config.ffn_width), "weight")
-            store.declare(pre + "ffn1.b", (config.ffn_width,), "bias")
-            store.declare(pre + "ffn2.w", (config.ffn_width, d), "weight")
-            store.declare(pre + "ffn2.b", (d,), "bias")
-        flat = config.num_patches * d
-        store.declare("head_fc1.w", (flat, config.head_width), "weight")
-        store.declare("head_fc1.b", (config.head_width,), "bias")
-        store.declare("head_ln.gain", (config.head_width,), "gain")
-        store.declare("head_ln.bias", (config.head_width,), "bias")
-        store.declare("head_fc2.w", (config.head_width, config.embed_dim), "weight")
-        store.declare("head_fc2.b", (config.embed_dim,), "bias")
+            store.declare_norm(pre + "attn_ln", d)
+            store.declare_affine(pre + "attn_qkv", d, 3 * d, draw=qkv_draw)
+            store.declare_affine(pre + "attn_out", d, d)
+            store.declare_norm(pre + "ffn_ln", d)
+            store.declare_affine(pre + "ffn1", d, config.ffn_width)
+            store.declare_affine(pre + "ffn2", config.ffn_width, d)
+        store.declare_affine("head_fc1", config.num_patches * d, config.head_width)
+        store.declare_norm("head_ln", config.head_width)
+        store.declare_affine("head_fc2", config.head_width, config.embed_dim)
         self._store = store
 
     def init(self, rng: np.random.Generator, weight_std: float = INIT_STD) -> None:
@@ -246,53 +257,37 @@ class ViTEncoder:
         return self._store.num_params()
 
     def attention(self, tokens: Tensor, layer: int) -> Tensor:
-        """Multi-head self-attention over one token sequence (N x D)."""
-        p = self._store
-        pre = f"layer{layer}."
-        inv = 1.0 / math.sqrt(self.config.head_dim)
-        mixed = []
-        for h in range(self.config.heads):
-            hp = pre + f"head{h}."
-            q = T.add_rowvec(T.matmul(tokens, p[hp + "wq"]), p[hp + "bq"])
-            k = T.add_rowvec(T.matmul(tokens, p[hp + "wk"]), p[hp + "bk"])
-            v = T.add_rowvec(T.matmul(tokens, p[hp + "wv"]), p[hp + "bv"])
-            scores = T.scale(T.matmul(q, T.transpose(k)), inv)
-            mixed.append(T.matmul(T.row_softmax(scores), v))
-        joined = mixed[0] if len(mixed) == 1 else T.concat_cols(mixed)
-        return T.add_rowvec(T.matmul(joined, p[pre + "attn_out.w"]), p[pre + "attn_out.b"])
+        """Multi-head self-attention over the token rows of one or more images
+        (G*N x D), each image's N rows attending among themselves."""
+        groups = tokens.shape[0] // self.config.num_patches
+        p, pre = self._store, f"layer{layer}."
+        mixed = T.attention(p.affine(tokens, pre + "attn_qkv"), groups, self.config.heads)
+        return p.affine(mixed, pre + "attn_out")
 
-    def forward_tokens(self, image: np.ndarray) -> Tensor:
-        """Token sequence after the last transformer layer, before the head."""
-        p = self._store
-        patches = Tensor(patchify(image, self.config))
-        z = T.add(T.matmul(patches, p["patch_embed"]), p["pos_embed"])
-        for i in range(self.config.layers):
+    def forward_tokens(self, images: np.ndarray) -> Tensor:
+        """Token rows after the last transformer layer, before the head: (N, D)
+        for one image, (B*N, D) image by image for a batch."""
+        p, cfg = self._store, self.config
+        z = T.matmul(Tensor(patchify(images, cfg)), p["patch_embed"])
+        per_image = (z.shape[0] // cfg.num_patches, cfg.num_patches * cfg.token_dim)
+        z = T.add_rowvec(T.reshape(z, per_image), T.reshape(p["pos_embed"], per_image[1:]))
+        z = T.reshape(z, (-1, cfg.token_dim))
+        for i in range(cfg.layers):
             pre = f"layer{i}."
-            h = T.layer_norm(z, p[pre + "attn_ln.gain"], p[pre + "attn_ln.bias"])
-            z = T.add(self.attention(h, i), z)
-            h = T.layer_norm(z, p[pre + "ffn_ln.gain"], p[pre + "ffn_ln.bias"])
-            f = T.add_rowvec(T.matmul(h, p[pre + "ffn1.w"]), p[pre + "ffn1.b"])
-            f = T.gelu(f)
-            f = T.add_rowvec(T.matmul(f, p[pre + "ffn2.w"]), p[pre + "ffn2.b"])
-            z = T.add(f, z)
+            z = T.add(self.attention(p.layer_norm(z, pre + "attn_ln"), i), z)
+            h = T.gelu(p.affine(p.layer_norm(z, pre + "ffn_ln"), pre + "ffn1"))
+            z = T.add(p.affine(h, pre + "ffn2"), z)
         return z
-
-    def _forward_one(self, image: np.ndarray) -> Tensor:
-        p = self._store
-        z = self.forward_tokens(image)
-        flat = T.reshape(z, (1, self.config.num_patches * self.config.token_dim))
-        h = T.add_rowvec(T.matmul(flat, p["head_fc1.w"]), p["head_fc1.b"])
-        h = T.layer_norm(h, p["head_ln.gain"], p["head_ln.bias"])
-        h = T.gelu(h)
-        out = T.add_rowvec(T.matmul(h, p["head_fc2.w"]), p["head_fc2.b"])
-        return T.l2_normalize_rows(out)
 
     def forward(self, inputs: np.ndarray) -> Tensor:
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 4:
             raise ShapeError(f"expected (batch, W, W, C) images, got shape {x.shape}")
-        feats = [self._forward_one(img) for img in x]
-        return feats[0] if len(feats) == 1 else T.concat_rows(feats)
+        p, cfg = self._store, self.config
+        z = self.forward_tokens(x)
+        flat = T.reshape(z, (x.shape[0], cfg.num_patches * cfg.token_dim))
+        h = T.gelu(p.layer_norm(p.affine(flat, "head_fc1"), "head_ln"))
+        return T.l2_normalize_rows(p.affine(h, "head_fc2"))
 
     def describe(self) -> dict:
         return {"kind": "vit", **self.config.to_mapping()}

@@ -167,7 +167,7 @@ def _snapshot(
     protos: PrototypeBank,
     opt: AdamW,
     state: StageState,
-    rng: np.random.Generator,
+    rng_state: dict,
     config_mapping: dict[str, str],
 ) -> Checkpoint:
     return Checkpoint(
@@ -179,7 +179,7 @@ def _snapshot(
         optimizer_arrays={k: v.copy() for k, v in opt.state_arrays().items()},
         optimizer_counts=dict(opt.step_counts),
         stage=copy.copy(state),
-        rng_state=copy.deepcopy(rng.bit_generator.state),
+        rng_state=copy.deepcopy(rng_state),
         config=dict(config_mapping),
     )
 
@@ -245,6 +245,9 @@ def train(
 
     rows: list[LogRow] = []
     log = _LogWriter(log_path, append=resume is not None)
+    # The stream at the boundary ``state.iteration`` names. An abort
+    # checkpoint saves this, not the stream after the failed iteration's draws.
+    rng_state = rng.bit_generator.state
     try:
         for it in range(state.iteration + 1, config.max_iterations + 1):
             batch_idx = rng.choice(n, size=config.batch_size_at(it), replace=False)
@@ -290,6 +293,7 @@ def train(
                 p.zero_grad()
 
             state.iteration = it
+            rng_state = rng.bit_generator.state
             step_scheduler(state, css, config.delta1, config.delta2, config.css_beta)
             row = LogRow(
                 iteration=it,
@@ -305,13 +309,13 @@ def train(
         if checkpoint_path is not None:
             save_checkpoint(
                 checkpoint_path,
-                _snapshot(encoder, bank, protos, opt, state, rng, mapping),
+                _snapshot(encoder, bank, protos, opt, state, rng_state, mapping),
             )
         raise
     finally:
         log.close()
 
-    ckpt = _snapshot(encoder, bank, protos, opt, state, rng, mapping)
+    ckpt = _snapshot(encoder, bank, protos, opt, state, rng_state, mapping)
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, ckpt)
     return ckpt, rows

@@ -128,6 +128,18 @@ def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
             LOSS_TOLERANCE,
         )
     )
+    # 2 groups of 3 tokens, D = 4 split into 2 heads
+    qkv = Tensor(rng.standard_normal((6, 12)))
+    mix = Tensor(rng.standard_normal((6, 4)))
+    results.append(
+        CheckResult(
+            "attention",
+            finite_difference_check(
+                lambda t: T.reduce_sum(T.mul(T.attention(t, 2, 2), mix)), qkv
+            ),
+            LOSS_TOLERANCE,
+        )
+    )
     return results
 
 

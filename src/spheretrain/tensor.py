@@ -7,11 +7,15 @@ gradients into every tensor that has ``requires_grad`` set. Graphs are
 rebuilt on each forward pass; a given root can be walked only once.
 
 All data is float64 and at most rank 2, which is everything the encoders and
-losses in this package need. Forward passes are bit-deterministic for a fixed
-op order. Op outputs are never mutated; optimizers may rewrite leaf ``.data``
-between forward passes, never while a graph referencing the leaf is alive.
-Independent graphs may be evaluated concurrently; a single graph must stay
-confined to one worker.
+losses in this package need. One op works at higher rank internally:
+:func:`attention` views its (G*N, 3D) input as rank-4 (group, head, token,
+feature) blocks, so a batch of token sequences attends in a few numpy calls;
+its input and output are still rank 2.
+
+Forward passes are bit-deterministic for a fixed op order. Op outputs are
+never mutated; optimizers may rewrite leaf ``.data`` between forward passes,
+never while a graph referencing the leaf is alive. Independent graphs may be
+evaluated concurrently; a single graph must stay confined to one worker.
 """
 
 from __future__ import annotations
@@ -407,24 +411,45 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(data, (a, gain, bias), backward)
 
 
-# ---------------------------------------------------------------------------
-# shape algebra
+def attention(qkv: Tensor, groups: int, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention within each of ``groups``
+    equal blocks of rows, (G*N, 3D) -> (G*N, D).
 
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along axis 0 (plain concatenation for rank-1 inputs)."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat_rows needs at least one tensor")
-    data = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    The columns of ``qkv`` are [q | k | v], D each, with head h at columns
+    h*dh .. (h+1)*dh of every block (dh = D / heads). Each query row attends
+    to the N rows of its own group only, with scores scaled by 1/sqrt(dh)
+    and a max-shifted softmax; head h's output fills the same columns of the
+    result. Rows of different groups never mix.
+    """
+    if qkv.data.ndim != 2:
+        raise ShapeError(f"attention needs a rank-2 input, got shape {qkv.shape}")
+    rows, cols = qkv.shape
+    if groups < 1 or heads < 1 or rows % groups or cols % (3 * heads):
+        raise ShapeError(
+            f"attention cannot split {qkv.shape} into {groups} groups and 3 x {heads} heads"
+        )
+    n, d = rows // groups, cols // 3
+    dh = d // heads
+    inv = 1.0 / np.sqrt(dh)
+    # (G, N, 3, H, dh) -> three (G, H, N, dh) views
+    q, k, v = qkv.data.reshape(groups, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    scores = (q @ k.swapaxes(-1, -2)) * inv
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    data = (weights @ v).transpose(0, 2, 1, 3).reshape(rows, d)
 
     def backward(g: Array) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
+        gh = g.reshape(groups, n, heads, dh).transpose(0, 2, 1, 3)
+        gw = gh @ v.swapaxes(-1, -2)
+        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * inv
+        parts = (gs @ k, gs.swapaxes(-1, -2) @ q, weights.swapaxes(-1, -2) @ gh)
+        _accumulate(qkv, np.stack(parts, axis=2).transpose(0, 3, 2, 1, 4).reshape(rows, cols))
 
-    return _make(data, parts, backward)
+    return _make(data, (qkv,), backward)
+
+
+# ---------------------------------------------------------------------------
+# shape algebra
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -450,17 +475,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def backward(g: Array) -> None:
         _accumulate(a, g.reshape(a.shape))
-
-    return _make(data, (a,), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 input, got shape {a.shape}")
-    data = a.data.T.copy()
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g.T)
 
     return _make(data, (a,), backward)
 

@@ -92,6 +92,17 @@ class TestTrainCommand:
         assert main(["train", "--config", sphere_train_config, "--resume", str(ckpt)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_resume_from_version_1_checkpoint_exits_one(self, tmp_path, sphere_train_config,
+                                                        capsys):
+        assert main(["train", "--config", sphere_train_config]) == 0
+        ckpt = tmp_path / "old.lvpc"
+        blob = (tmp_path / "run.lvpc").read_bytes()
+        ckpt.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+        capsys.readouterr()
+        assert main(["train", "--config", sphere_train_config, "--resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 1" in err
+
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.cfg")]) == 1
 

@@ -205,6 +205,15 @@ class TestCheckpoint:
         with pytest.raises(FileFormatError):
             load_checkpoint(p)
 
+    def test_version_1_rejected_by_name(self, tmp_path):
+        # version 1 named the ViT attention parameters per head
+        ckpt = toy_checkpoint(8)
+        ckpt.version = 1
+        p = tmp_path / "old.lvpc"
+        save_checkpoint(p, ckpt)
+        with pytest.raises(FileFormatError, match="version 1"):
+            load_checkpoint(p)
+
     def test_magic_literal(self, tmp_path):
         p = tmp_path / "model.lvpc"
         save_checkpoint(p, toy_checkpoint(7))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheretrain import tensor as T
 from spheretrain.encoders import (
@@ -45,6 +47,12 @@ class TestPatchify:
         )
         img = np.zeros((112, 112, 3))
         assert patchify(img, cfg).shape == (256, 7 * 7 * 3)
+
+    def test_batch_rows_are_the_images_patches_in_order(self):
+        cfg = tiny_config()
+        batch = rng_for(11).uniform(size=(3, 4, 4, 1))
+        expected = np.concatenate([patchify(img, cfg) for img in batch])
+        np.testing.assert_array_equal(patchify(batch, cfg), expected)
 
     def test_constant_image_gives_identical_rows(self):
         cfg = tiny_config()
@@ -175,12 +183,8 @@ class TestViTEncoder:
         enc.restore(
             {
                 **{name: t.data for name, t in enc.params()},
-                "layer0.head0.wq": np.eye(d),
-                "layer0.head0.wk": np.eye(d),
-                "layer0.head0.wv": np.eye(d),
-                "layer0.head0.bq": np.zeros(d),
-                "layer0.head0.bk": np.zeros(d),
-                "layer0.head0.bv": np.zeros(d),
+                "layer0.attn_qkv.w": np.hstack([np.eye(d)] * 3),
+                "layer0.attn_qkv.b": np.zeros(3 * d),
                 "layer0.attn_out.w": np.eye(d),
                 "layer0.attn_out.b": np.zeros(d),
             }
@@ -202,6 +206,59 @@ class TestViTEncoder:
             for j in range(n):
                 expected[i] += weights[j] / total * tokens[j]
         np.testing.assert_allclose(out, expected, atol=1e-12, rtol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from([1, 2, 4]), st.integers(1, 2),
+           st.integers(0, 2**32 - 1))
+    def test_batch_rows_match_single_image_forwards(self, batch, heads, layers, seed):
+        cfg = tiny_config(token_dim=8, heads=heads, layers=layers)
+        enc = ViTEncoder(cfg)
+        rng = rng_for(seed)
+        enc.init(rng, weight_std=0.3)
+        images = rng.uniform(size=(batch, 4, 4, 1))
+        out = enc.forward(images).data
+        for i in range(batch):
+            single = enc.forward(images[i:i + 1]).data
+            np.testing.assert_allclose(out[i:i + 1], single, atol=1e-12, rtol=0)
+
+    def test_init_draws_qkv_head_by_head_like_separate_projections(self):
+        """The fused q/k/v weight takes the values, and leaves the rng in the
+        state, of one (d, dh) draw per head and projection in declaration
+        order (head, then q/k/v), each block landing at its head's columns."""
+        cfg = tiny_config(heads=2, layers=2)
+        d, dh, f = cfg.token_dim, cfg.head_dim, cfg.ffn_width
+        enc = ViTEncoder(cfg)
+        rng = rng_for(12)
+        enc.init(rng)
+        ref = rng_for(12)
+        expected = {
+            "patch_embed": ref.normal(0.0, 0.01, size=(cfg.patch_len, d)),
+            "pos_embed": ref.normal(0.0, 0.01, size=(cfg.num_patches, d)),
+        }
+        for i in range(cfg.layers):
+            blocks = {(h, p): ref.normal(0.0, 0.01, size=(d, dh))
+                      for h in range(cfg.heads) for p in range(3)}
+            expected[f"layer{i}.attn_qkv.w"] = np.hstack(
+                [blocks[h, p] for p in range(3) for h in range(cfg.heads)])
+            expected[f"layer{i}.attn_out.w"] = ref.normal(0.0, 0.01, size=(d, d))
+            expected[f"layer{i}.ffn1.w"] = ref.normal(0.0, 0.01, size=(d, f))
+            expected[f"layer{i}.ffn2.w"] = ref.normal(0.0, 0.01, size=(f, d))
+        expected["head_fc1.w"] = ref.normal(0.0, 0.01, size=(cfg.num_patches * d,
+                                                              cfg.head_width))
+        expected["head_fc2.w"] = ref.normal(0.0, 0.01, size=(cfg.head_width, cfg.embed_dim))
+        params = dict(enc.params())
+        for name, arr in expected.items():
+            assert params[name].data.tobytes() == arr.tobytes(), name
+        assert str(rng.bit_generator.state) == str(ref.bit_generator.state)
+
+    def test_fused_parameter_names(self):
+        enc = ViTEncoder(tiny_config(layers=2, heads=2))
+        names = [name for name, _ in enc.params()]
+        assert len(names) == 32
+        assert "layer1.attn_qkv.w" in names and "layer1.attn_qkv.b" in names
+        shapes = dict((n, t.shape) for n, t in enc.params())
+        assert shapes["layer0.attn_qkv.w"] == (16, 48)
+        assert shapes["layer0.attn_qkv.b"] == (48,)
 
     def test_gradient_check_small_vit(self):
         rng = rng_for(10)

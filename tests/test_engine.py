@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spheretrain import engine
 from spheretrain.checkpoint import load_checkpoint
 from spheretrain.config import TrainConfig
 from spheretrain.data import Dataset, SphereClusterSpec, gen_sphere_dataset
@@ -341,6 +342,35 @@ class TestTrainLoop:
                   checkpoint_path=ckpt_path)
         saved = load_checkpoint(ckpt_path)
         assert saved.stage.iteration == 3
+        # the checkpoint is the boundary before iteration 4: resuming it
+        # reproduces the uninterrupted run from there on
+        _, full_rows = train(quick_config(seed=21, max_iterations=50), ds, fresh_encoder())
+        _, resumed_rows = train(quick_config(seed=21, max_iterations=50), ds,
+                                fresh_encoder(), resume=saved)
+        assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[3:]]
+
+    def test_abort_after_the_iteration_counted_resumes_after_it(self, tmp_path, monkeypatch):
+        # iteration 4 has stepped and counted itself when the scheduler fails
+        ds = sphere_fixture(11)
+        _, full_rows = train(quick_config(seed=21, max_iterations=20), ds, fresh_encoder())
+        original = engine.step_scheduler
+
+        def explode_at_4(state, *args):
+            original(state, *args)
+            if state.iteration == 4:
+                raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(engine, "step_scheduler", explode_at_4)
+        ckpt_path = tmp_path / "abort.lvpc"
+        with pytest.raises(RuntimeError):
+            train(quick_config(seed=21, max_iterations=20), ds, fresh_encoder(),
+                  checkpoint_path=ckpt_path)
+        monkeypatch.setattr(engine, "step_scheduler", original)
+        saved = load_checkpoint(ckpt_path)
+        assert saved.stage.iteration == 4
+        _, resumed_rows = train(quick_config(seed=21, max_iterations=20), ds,
+                                fresh_encoder(), resume=saved)
+        assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[4:]]
 
     def test_resume_arch_mismatch_rejected(self, tmp_path):
         ds = sphere_fixture(12)

@@ -171,17 +171,89 @@ class TestLayerNorm:
         assert finite_difference_check(wrt_bias, Tensor(bias)) < 1e-6
 
 
-class TestShapeAlgebra:
-    def test_concat_1d(self):
-        out = T.concat_rows([Tensor([1.0, 2.0]), Tensor([3.0])])
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+def attention_reference(qkv, groups, heads):
+    """Per-group, per-head loops over plain rank-2 numpy."""
+    rows, cols = qkv.shape
+    n, d = rows // groups, cols // 3
+    dh = d // heads
+    out = np.zeros((rows, d))
+    for g in range(groups):
+        block = qkv[g * n:(g + 1) * n]
+        for h in range(heads):
+            q, k, v = (block[:, p * d + h * dh:p * d + (h + 1) * dh] for p in range(3))
+            scores = q @ k.T / np.sqrt(dh)
+            w = np.exp(scores - scores.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            out[g * n:(g + 1) * n, h * dh:(h + 1) * dh] = w @ v
+    return out
 
+
+class TestAttention:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5),
+           st.sampled_from([1, 2, 4]), st.integers(1, 3))
+    def test_matches_per_head_reference(self, seed, groups, n, heads, dh):
+        qkv = rng_for(seed).standard_normal((groups * n, 3 * heads * dh))
+        out = T.attention(Tensor(qkv), groups, heads).data
+        np.testing.assert_allclose(out, attention_reference(qkv, groups, heads),
+                                   atol=1e-12, rtol=0)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = rng_for(30)
+        probe = Tensor(rng.standard_normal((6, 8)))
+        err = finite_difference_check(
+            lambda t: T.reduce_sum(T.mul(T.attention(t, 3, 2), probe)),
+            Tensor(rng.standard_normal((6, 24))),
+        )
+        assert err < 1e-7
+
+    def test_weights_sum_to_one(self):
+        # with every value row equal to one, each output is the sum of the
+        # query's attention weights
+        qkv = rng_for(31).standard_normal((8, 12)) * 5
+        qkv[:, 8:] = 1.0
+        out = T.attention(Tensor(qkv), 2, 2).data
+        np.testing.assert_allclose(out, np.ones((8, 4)), atol=1e-14, rtol=0)
+
+    def test_large_logits_stay_finite(self):
+        # scores of order 1e3 would overflow exp without the max shift
+        rng = rng_for(32)
+        qkv = rng.standard_normal((5, 6))
+        qkv[:, :4] *= 40.0
+        assert np.abs(qkv[:, :2] @ qkv[:, 2:4].T).max() / np.sqrt(2) > 1e3
+        x = Tensor(qkv, requires_grad=True)
+        out = T.attention(x, 1, 1)
+        np.testing.assert_allclose(out.data, attention_reference(qkv, 1, 1),
+                                   atol=1e-12, rtol=0)
+        T.reduce_sum(out).backward()
+        assert np.isfinite(x.grad).all()
+
+    def test_groups_are_independent(self):
+        rng = rng_for(33)
+        groups, n = 3, 4
+        qkv = rng.standard_normal((groups * n, 12))
+        base = T.attention(Tensor(qkv), groups, 2).data
+        for j in range(groups):
+            bumped = qkv.copy()
+            bumped[j * n:(j + 1) * n] += rng.standard_normal((n, 12))
+            out = T.attention(Tensor(bumped), groups, 2).data
+            for i in range(groups):
+                rows = slice(i * n, (i + 1) * n)
+                if i == j:
+                    assert not np.array_equal(out[rows], base[rows])
+                else:
+                    assert out[rows].tobytes() == base[rows].tobytes()
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.zeros((5, 12))), 2, 2)
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.zeros((4, 12))), 2, 3)
+
+
+class TestShapeAlgebra:
     def test_reduce_sum_ones(self):
         assert T.reduce_sum(Tensor(np.ones((2, 3)))).item() == 6.0
-
-    def test_transpose_involution(self):
-        x = rng_for(8).standard_normal((3, 5))
-        np.testing.assert_array_equal(T.transpose(T.transpose(Tensor(x))).data, x)
 
     def test_concat_cols_and_grads(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
