@@ -154,6 +154,12 @@ class _ParamStore:
         return sum(int(np.prod(shape)) for _, shape, *_ in self._specs)
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
+        """Replace every parameter from ``arrays``, which must hold exactly the
+        declared names and shapes; all are checked before any is replaced."""
+        for name in arrays:
+            if name not in self._tensors:
+                raise ConfigError(f"checkpoint has undeclared parameter {name!r}")
+        loaded = {}
         for name, shape, *_ in self._specs:
             if name not in arrays:
                 raise ConfigError(f"checkpoint is missing parameter {name!r}")
@@ -162,7 +168,8 @@ class _ParamStore:
                 raise ConfigError(
                     f"parameter {name!r} has shape {arr.shape}, expected {shape}"
                 )
-            self._tensors[name] = Tensor(arr.copy(), requires_grad=True)
+            loaded[name] = Tensor(arr.copy(), requires_grad=True)
+        self._tensors.update(loaded)
 
 
 class MLPEncoder:

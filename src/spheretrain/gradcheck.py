@@ -93,15 +93,6 @@ def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
     probe = rng.standard_normal((3, 5))
     results.append(
         CheckResult(
-            "row_softmax",
-            finite_difference_check(
-                lambda t: T.reduce_sum(T.mul(T.row_softmax(t), Tensor(probe))), w
-            ),
-            LOSS_TOLERANCE,
-        )
-    )
-    results.append(
-        CheckResult(
             "row_logsumexp",
             finite_difference_check(lambda t: T.reduce_sum(T.row_logsumexp(t)), w),
             LOSS_TOLERANCE,
@@ -139,6 +130,20 @@ def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
             ),
             LOSS_TOLERANCE,
         )
+    )
+    # parts over columns 0-3 and 4-6 whose positives are label cosines - 0.3,
+    # so the cosines reach the loss along both paths
+    cos = Tensor(rng.uniform(-1.0, 1.0, size=(3, 7)))
+    labels = rng.integers(0, 3, size=3)
+
+    def margin_lse(t):
+        return T.reduce_sum(T.margin_logsumexp([
+            (T.gather_cols(t, ids), labels, T.add(T.take_per_row(t, labels + ids[0]), -0.3))
+            for ids in (np.arange(4), np.arange(4, 7))
+        ], 4.0))
+
+    results.append(
+        CheckResult("margin_logsumexp", finite_difference_check(margin_lse, cos), LOSS_TOLERANCE)
     )
     return results
 

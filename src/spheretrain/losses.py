@@ -14,8 +14,11 @@ positive is cos(m1*theta_y + m2) - m3. Up to three margins penalize it:
 multiplicative on the angle, additive on the angle, additive on the cosine
 (``margin_positive``). The alignment loss is one classifier part; the
 stabilization and refinement losses add a prototype part. Batches are
-reduced by mean. The sum is evaluated as one log-sum-exp with a zero column
-standing for the leading 1, so a scale of s = 64 never overflows.
+reduced by mean. The sum is one autodiff node, ``tensor.margin_logsumexp``:
+a log-sum-exp over one buffer of all parts' exponents with a zero column
+standing for the leading 1, so a scale of s = 64 never overflows. Each
+row's label entry is set to -inf, which excludes it from the sum and gives
+it exactly zero gradient.
 """
 
 from __future__ import annotations
@@ -144,10 +147,6 @@ class CosineLogits:
             raise ShapeError(f"label column out of range for {cols} columns")
         self.label_column = labels
 
-    @property
-    def batch_size(self) -> int:
-        return self.values.shape[0]
-
 
 def cosine_logits(features: Tensor, columns: Tensor, labels) -> CosineLogits:
     """Dot products between unit feature rows and unit center columns.
@@ -197,19 +196,7 @@ def margin_log_sum_exp(parts: list[tuple[CosineLogits, Tensor]], s: float) -> Te
 
     Raises ``NumericError`` naming the first sample whose loss is not finite.
     """
-    if not parts:
-        raise ShapeError("need at least one (cosines, positive) part")
-    rows = parts[0][0].batch_size
-    blocks = [Tensor(np.zeros((rows, 1)))]
-    masks = [np.ones((rows, 1), dtype=bool)]
-    for cos, pos in parts:
-        if cos.batch_size != rows:
-            raise ShapeError("parts disagree on batch size")
-        blocks.append(T.add_colvec(T.scale(cos.values, s), T.scale(pos, -s)))
-        mask = np.ones(cos.values.shape, dtype=bool)
-        mask[np.arange(rows), cos.label_column] = False
-        masks.append(mask)
-    per = T.row_logsumexp(T.concat_cols(blocks), np.concatenate(masks, axis=1))
+    per = T.margin_logsumexp([(cos.values, cos.label_column, pos) for cos, pos in parts], s)
     bad = ~np.isfinite(per.data[:, 0])
     if bad.any():
         raise NumericError(f"non-finite loss for sample index {int(np.argmax(bad))}")

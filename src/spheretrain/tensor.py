@@ -14,8 +14,11 @@ its input and output are still rank 2.
 
 Forward passes are bit-deterministic for a fixed op order. Op outputs are
 never mutated; optimizers may rewrite leaf ``.data`` between forward passes,
-never while a graph referencing the leaf is alive. Independent graphs may be
-evaluated concurrently; a single graph must stay confined to one worker.
+never while a graph referencing the leaf is alive. Only
+:func:`margin_logsumexp` works in place, on the exponent block it allocates
+itself and shares with no other op. A first gradient is a copy of the upstream
+array in the tensor's memory order. Independent graphs may be evaluated
+concurrently; a single graph must stay confined to one worker.
 """
 
 from __future__ import annotations
@@ -156,8 +159,10 @@ def _accumulate(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -317,41 +322,12 @@ def gelu(a: Tensor) -> Tensor:
 # row-wise reductions and normalizations
 
 
-def row_softmax(a: Tensor) -> Tensor:
-    """Softmax along each row, computed with a per-row max shift."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"row_softmax needs a rank-2 input, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g: Array) -> None:
-        dot = (g * data).sum(axis=1, keepdims=True)
-        _accumulate(a, data * (g - dot))
-
-    return _make(data, (a,), backward)
-
-
-def row_logsumexp(a: Tensor, include: Array | None = None) -> Tensor:
-    """log(sum(exp(row))) per row as an (m, 1) column, max-shift stabilized.
-
-    ``include`` is an optional boolean mask of the same shape; excluded
-    entries contribute nothing to the sum and receive zero gradient. A row
-    with no included entries is out of contract.
-    """
+def row_logsumexp(a: Tensor) -> Tensor:
+    """log(sum(exp(row))) per row as an (m, 1) column, max-shift stabilized."""
     if a.data.ndim != 2:
         raise ShapeError(f"row_logsumexp needs a rank-2 input, got shape {a.shape}")
-    if include is None:
-        mask = np.ones(a.shape, dtype=bool)
-    else:
-        mask = np.asarray(include, dtype=bool)
-        if mask.shape != a.shape:
-            raise ShapeError(f"mask shape {mask.shape} does not match input {a.shape}")
-        if not mask.any(axis=1).all():
-            raise DomainError("row_logsumexp: a row has no included entries")
-    masked = np.where(mask, a.data, -np.inf)
-    m = masked.max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(a.data - m), 0.0)
+    m = a.data.max(axis=1, keepdims=True)
+    e = np.exp(a.data - m)
     total = e.sum(axis=1, keepdims=True)
     data = m + np.log(total)
 
@@ -359,6 +335,56 @@ def row_logsumexp(a: Tensor, include: Array | None = None) -> Tensor:
         _accumulate(a, (e / total) * g)
 
     return _make(data, (a,), backward)
+
+
+def margin_logsumexp(parts: Sequence[tuple[Tensor, Array, Tensor]], s: float) -> Tensor:
+    """Per-row log(1 + sum over parts of sum_{j != label} exp(s*cos_j - s*pos))
+    as a (B, 1) column; a part is (cos (B, K), label column (B,), pos (B, 1)).
+
+    The exponents fill one (B, 1 + sum K) buffer: column 0 is the zero that
+    stands for the leading 1, and each label entry is -inf, so it adds exactly
+    0 and gets exactly 0 gradient. Forward and backward work in that buffer in
+    place, so the node can be walked once (``GraphError`` on a second walk).
+    """
+    if not parts:
+        raise ShapeError("margin_logsumexp needs at least one part")
+    s, rows = float(s), parts[0][0].shape[0]
+    for cos, labels, pos in parts:
+        shapes = (cos.data.ndim, cos.shape[0], pos.shape, np.shape(labels))
+        if shapes != (2, rows, (rows, 1), (rows,)):
+            raise ShapeError(f"margin_logsumexp part of cosines {cos.shape}, labels "
+                             f"{np.shape(labels)}, positive {pos.shape} for {rows} rows")
+        if rows and not 0 <= np.min(labels) <= np.max(labels) < cos.shape[1]:
+            raise ShapeError(f"label column out of range for {cos.shape[1]} columns")
+    bounds = np.cumsum([1] + [cos.shape[1] for cos, _, _ in parts])
+    row_ids = np.arange(rows)
+    e = np.empty((rows, int(bounds[-1])))
+    e[:, 0] = 0.0
+    for (cos, labels, pos), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        block = e[:, lo:hi]
+        np.multiply(cos.data, s, out=block)
+        block += pos.data * -s
+        block[row_ids, labels] = -np.inf
+    m = e.max(axis=1, keepdims=True)
+    e -= m
+    np.exp(e, out=e)
+    total = e.sum(axis=1, keepdims=True)
+    data = m + np.log(total)
+
+    def backward(g: Array) -> None:
+        nonlocal e
+        if e is None:
+            raise GraphError("margin_logsumexp: a second backward pass through one node")
+        p, e = e, None  # the exponents become the gradient in place
+        p /= total
+        p *= g
+        for (cos, _, pos), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            block = p[:, lo:hi]
+            _accumulate(pos, block.sum(axis=1, keepdims=True) * -s)
+            block *= s
+            _accumulate(cos, block)
+
+    return _make(data, [t for cos, _, pos in parts for t in (cos, pos)], backward)
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
@@ -452,24 +478,6 @@ def attention(qkv: Tensor, groups: int, heads: int) -> Tensor:
 # shape algebra
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat_cols needs at least one tensor")
-    for p in parts:
-        if p.data.ndim != 2:
-            raise ShapeError(f"concat_cols needs rank-2 parts, got shape {p.shape}")
-    data = np.concatenate([p.data for p in parts], axis=1)
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: Array) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[:, lo:hi])
-
-    return _make(data, parts, backward)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
 
@@ -545,7 +553,7 @@ def take_per_row(a: Tensor, cols) -> Tensor:
             return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, (row_ids, idx), g[:, 0])
+        a.grad[row_ids, idx] += g[:, 0]  # one entry per row: no duplicates
 
     return _make(data, (a,), backward)
 
@@ -559,19 +567,6 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         _accumulate(a, g)
         _accumulate(v, g.sum(axis=0))
-
-    return _make(data, (a, v), backward)
-
-
-def add_colvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add an (m, 1) column to every column of an (m, n) tensor."""
-    if a.data.ndim != 2 or v.shape != (a.shape[0], 1):
-        raise ShapeError(f"add_colvec shapes disagree: {a.shape} and {v.shape}")
-    data = a.data + v.data
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g)
-        _accumulate(v, g.sum(axis=1, keepdims=True))
 
     return _make(data, (a, v), backward)
 

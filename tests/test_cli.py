@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spheretrain.checkpoint import load_checkpoint
+from spheretrain.checkpoint import load_checkpoint, save_checkpoint
 from spheretrain.cli import main
 from spheretrain.fileio import read_embeddings, read_images, read_pairs
 
@@ -102,6 +102,18 @@ class TestTrainCommand:
         assert main(["train", "--config", sphere_train_config, "--resume", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "version 1" in err
+
+    def test_resume_with_undeclared_parameter_exits_one(self, tmp_path, sphere_train_config,
+                                                        capsys):
+        assert main(["train", "--config", sphere_train_config]) == 0
+        ckpt = load_checkpoint(tmp_path / "run.lvpc")
+        ckpt.encoder_arrays["fc0.w"] = np.zeros((2, 2))
+        stale = tmp_path / "stale.lvpc"
+        save_checkpoint(stale, ckpt)
+        capsys.readouterr()
+        assert main(["train", "--config", sphere_train_config, "--resume", str(stale)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'fc0.w'" in err
 
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.cfg")]) == 1

@@ -285,6 +285,27 @@ class TestViTEncoder:
         with pytest.raises(ConfigError):
             enc.restore({"fc1.w": np.zeros((2, 2))})
 
+    def test_restore_rejects_undeclared_names(self):
+        enc = ViTEncoder(tiny_config())
+        enc.init(rng_for(40))
+        arrays = {name: t.data for name, t in enc.params()}
+        # a stale per-head name next to the current fused ones
+        arrays["layer0.head0.wq"] = np.zeros((16, 8))
+        arrays["layer0.head1.wq"] = np.zeros((16, 8))
+        with pytest.raises(ConfigError, match=r"'layer0\.head0\.wq'"):
+            enc.restore(arrays)
+
+    def test_failed_restore_replaces_nothing(self):
+        enc = MLPEncoder(3, 4, 5)
+        enc.init(rng_for(41))
+        before = dict(enc.params())
+        arrays = {name: t.data + 1.0 for name, t in enc.params()}
+        arrays["fc2.w"] = np.zeros((2, 2))  # the third parameter is bad
+        with pytest.raises(ConfigError, match="fc2.w"):
+            enc.restore(arrays)
+        for name, t in enc.params():
+            assert t is before[name]
+
     def test_head_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             tiny_config(token_dim=10, heads=4)

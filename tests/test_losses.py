@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -334,6 +336,27 @@ class TestMarginLogSumExp:
         grown = parts[:which] + [(extra, labels, m)] + parts[which + 1:]
         small = primitive(parts, s)
         assert (primitive(grown, s) >= small - 1e-12 * np.maximum(1.0, small)).all()
+
+
+    @pytest.mark.parametrize("widths", [(10_000,), (10_000, 2_000)])
+    def test_dense_forward_and_backward_allocate_few_blocks(self, widths):
+        # The full-class (refinement) width: forward plus backward may hold at
+        # most 5 arrays of the (B, 1 + sum K) exponent block at once.
+        rng = rng_for(50)
+        rows = 64
+        parts = []
+        for k in widths:
+            cos = CosineLogits(Tensor(rng.uniform(-1.0, 1.0, size=(rows, k)), requires_grad=True),
+                               rng.integers(0, k, size=rows))
+            parts.append((cos, margin_positive(cos, MarginSpec.cosface(64.0, 0.4))))
+        block = rows * (1 + sum(widths)) * 8
+        tracemalloc.start()
+        try:
+            T.reduce_mean(margin_log_sum_exp(parts, 64.0)).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * block, f"peak {peak / block:.2f} blocks"
 
 
 class TestClassifierBank:

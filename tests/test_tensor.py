@@ -74,34 +74,6 @@ class TestElementwise:
         np.testing.assert_array_equal(T.sub(x, 1.0).data, [0.0, 1.0])
 
 
-class TestRowSoftmax:
-    def test_uniform_row(self):
-        out = T.row_softmax(Tensor(np.full((1, 5), 3.7)))
-        np.testing.assert_allclose(out.data, np.full((1, 5), 0.2), atol=1e-15)
-
-    def test_large_logit_no_overflow(self):
-        out = T.row_softmax(Tensor([[1000.0, 0.0]]))
-        assert np.isfinite(out.data).all()
-        np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-300)
-
-    def test_jacobian_vector_product(self):
-        rng = rng_for(4)
-        probe = Tensor(rng.standard_normal((3, 5)))
-        err = finite_difference_check(
-            lambda t: T.reduce_sum(T.mul(T.row_softmax(t), probe)),
-            Tensor(rng.standard_normal((3, 5))),
-        )
-        assert err < 1e-7
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 9))
-    def test_rows_sum_to_one(self, seed, m, n):
-        x = rng_for(seed).standard_normal((m, n)) * 10
-        out = T.row_softmax(Tensor(x)).data
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(m), atol=1e-12, rtol=0)
-        assert ((out >= 0) & (out <= 1)).all()
-
-
 class TestL2NormalizeRows:
     def test_three_four_five(self):
         out = T.l2_normalize_rows(Tensor([[3.0, 4.0]]))
@@ -251,17 +223,108 @@ class TestAttention:
             T.attention(Tensor(np.zeros((4, 12))), 2, 3)
 
 
+def margin_lse_oracle(parts, s, g):
+    """The exponent chain the fused op replaces, in plain numpy: a zero column,
+    cos*s + pos*(-s) per part, a boolean mask over the label entries,
+    ``np.where``, a max shift; backward slices (e / total) * g per part."""
+    rows = parts[0][0].shape[0]
+    blocks, masks = [np.zeros((rows, 1))], [np.ones((rows, 1), dtype=bool)]
+    for cos, labels, pos in parts:
+        blocks.append(cos * s + pos * (-s))
+        mask = np.ones(cos.shape, dtype=bool)
+        mask[np.arange(rows), labels] = False
+        masks.append(mask)
+    a, mask = np.concatenate(blocks, axis=1), np.concatenate(masks, axis=1)
+    m = np.where(mask, a, -np.inf).max(axis=1, keepdims=True)
+    e = np.where(mask, np.exp(a - m), 0.0)
+    total = e.sum(axis=1, keepdims=True)
+    p = (e / total) * g
+    grads, lo = [], 1
+    for cos, _, _ in parts:
+        block = p[:, lo:lo + cos.shape[1]].copy()
+        grads.append((block * s, block.sum(axis=1, keepdims=True) * (-s)))
+        lo += cos.shape[1]
+    return m + np.log(total), grads
+
+
+def run_margin_lse(parts, s, g):
+    leaves = [(Tensor(cos, requires_grad=True), labels, Tensor(pos, requires_grad=True))
+              for cos, labels, pos in parts]
+    out = T.margin_logsumexp(leaves, s)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    return out.data, [(cos.grad, pos.grad) for cos, _, pos in leaves]
+
+
+@st.composite
+def margin_lse_inputs(draw):
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 8))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 40))
+        cos = rng.uniform(-1.0, 1.0, size=(rows, k))
+        if draw(st.booleans()):  # within 1e-6 of the poles
+            cos = np.sign(cos) * (1.0 - rng.uniform(0.0, 1e-6, size=cos.shape))
+        # few distinct labels, so several rows share one
+        labels = rng.integers(0, draw(st.integers(1, k)), size=rows)
+        pos = cos[np.arange(rows), labels][:, None] - rng.uniform(0.0, 0.5, size=(rows, 1))
+        parts.append((cos, labels, pos))
+    s = draw(st.sampled_from([16.0, 30.5, 64.0]))
+    return parts, s, rng.uniform(0.1, 2.0, size=(rows, 1))
+
+
+class TestMarginLogSumExp:
+    @settings(max_examples=60, deadline=None)
+    @given(margin_lse_inputs())
+    def test_bytes_match_the_unfused_chain(self, case):
+        parts, s, g = case
+        loss, grads = run_margin_lse(parts, s, g)
+        want_loss, want_grads = margin_lse_oracle(parts, s, g)
+        assert loss.tobytes() == want_loss.tobytes()
+        for (cos_grad, pos_grad), (want_cos, want_pos) in zip(grads, want_grads):
+            assert cos_grad.tobytes() == want_cos.tobytes()
+            assert pos_grad.tobytes() == want_pos.tobytes()
+        for (cos, labels, _), (cos_grad, _) in zip(parts, grads):
+            assert (cos_grad[np.arange(len(labels)), labels] == 0.0).all()
+
+    def test_large_margins_stay_finite(self):
+        # s = 64 with positives 1e3 below and above the cosines: exponents of
+        # +-6.4e4 overflow exp without the max shift
+        rng = rng_for(34)
+        cos = rng.uniform(-1.0, 1.0, size=(4, 6))
+        labels = np.array([0, 5, 2, 2])
+        for margin in (1e3, -1e3):
+            pos = cos[np.arange(4), labels][:, None] - margin
+            loss, grads = run_margin_lse([(cos, labels, pos)], 64.0, np.full((4, 1), 0.25))
+            assert np.isfinite(loss).all() and np.isfinite(grads[0][0]).all()
+            assert np.isfinite(grads[0][1]).all()
+            if margin > 0:
+                assert (loss > 6e4).all()
+            else:
+                assert (loss == 0.0).all()
+
+    def test_second_backward_through_the_node_is_rejected(self):
+        cos = Tensor(np.zeros((2, 3)), requires_grad=True)
+        out = T.margin_logsumexp([(cos, np.array([0, 1]), Tensor(np.zeros((2, 1))))], 16.0)
+        T.reduce_sum(out).backward()
+        with pytest.raises(GraphError):
+            T.reduce_mean(out).backward()
+
+    def test_shape_errors(self):
+        cos, pos = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1)))
+        with pytest.raises(ShapeError):
+            T.margin_logsumexp([], 16.0)
+        with pytest.raises(ShapeError):
+            T.margin_logsumexp([(cos, np.array([0, 1]), Tensor(np.zeros((3, 1))))], 16.0)
+        with pytest.raises(ShapeError):
+            T.margin_logsumexp([(cos, np.array([0]), pos)], 16.0)
+        with pytest.raises(ShapeError):
+            T.margin_logsumexp([(cos, np.array([0, 3]), pos)], 16.0)
+
+
 class TestShapeAlgebra:
     def test_reduce_sum_ones(self):
         assert T.reduce_sum(Tensor(np.ones((2, 3)))).item() == 6.0
-
-    def test_concat_cols_and_grads(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.zeros((2, 1)), requires_grad=True)
-        out = T.reduce_sum(T.mul(T.concat_cols([a, b]), Tensor([[1.0, 2, 3], [4, 5, 6]])))
-        out.backward()
-        np.testing.assert_array_equal(a.grad, [[1.0, 2.0], [4.0, 5.0]])
-        np.testing.assert_array_equal(b.grad, [[3.0], [6.0]])
 
     def test_reduce_axes(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -309,9 +372,6 @@ class TestShapeAlgebra:
         v = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
         T.reduce_sum(T.add_rowvec(a, v)).backward()
         np.testing.assert_array_equal(v.grad, [2.0, 2.0, 2.0])
-        c = Tensor(np.ones((2, 1)), requires_grad=True)
-        T.reduce_sum(T.add_colvec(Tensor(np.zeros((2, 3))), c)).backward()
-        np.testing.assert_array_equal(c.grad, [[3.0], [3.0]])
 
 
 class TestClipArccos:
@@ -339,22 +399,19 @@ class TestLogSumExp:
             out.data[:, 0], np.log(np.exp(x).sum(axis=1)), atol=1e-12
         )
 
+    # The mask is margin_logsumexp's: each row's label entry is left out.
     def test_mask_excludes_entries(self):
-        x = np.array([[0.0, 100.0], [1.0, 2.0]])
-        mask = np.array([[True, False], [True, True]])
-        out = T.row_logsumexp(Tensor(x), mask)
-        assert out.data[0, 0] == 0.0
+        # the label cosine is huge, but excluded: 1 + exp(0) + exp(0)
+        cos = np.array([[100.0, 0.0, 0.0]])
+        loss, _ = run_margin_lse([(cos, np.array([0]), np.zeros((1, 1)))], 1.0, np.ones((1, 1)))
+        assert loss[0, 0] == np.log(3.0)
 
     def test_masked_gradient_is_zero(self):
-        x = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
-        mask = np.array([[True, False, True]])
-        T.reduce_sum(T.row_logsumexp(x, mask)).backward()
-        assert x.grad[0, 1] == 0.0
-        assert (x.grad[0, [0, 2]] > 0).all()
-
-    def test_empty_row_rejected(self):
-        with pytest.raises(DomainError):
-            T.row_logsumexp(Tensor(np.ones((1, 2))), np.array([[False, False]]))
+        cos = np.array([[1.0, 2.0, 3.0]])
+        _, grads = run_margin_lse([(cos, np.array([1]), np.full((1, 1), 0.5))], 1.0,
+                                  np.ones((1, 1)))
+        assert grads[0][0][0, 1] == 0.0
+        assert (grads[0][0][0, [0, 2]] > 0).all()
 
 
 class TestBackward:
@@ -387,11 +444,25 @@ class TestBackward:
         out.backward()
         np.testing.assert_array_equal(x.grad, [12.0])
 
+    def test_first_gradient_is_a_copy_in_the_tensor_order(self):
+        g = np.arange(6.0).reshape(3, 2)
+        for data in (np.zeros((3, 2)), np.asfortranarray(np.zeros((3, 2)))):
+            x = Tensor(data, requires_grad=True)
+            T._accumulate(x, g)
+            assert not np.shares_memory(x.grad, g)
+            assert x.grad.flags.f_contiguous == data.flags.f_contiguous
+            assert x.grad.flags.c_contiguous == data.flags.c_contiguous
+            np.testing.assert_array_equal(x.grad, g)
+            T._accumulate(x, g)
+            np.testing.assert_array_equal(x.grad, 2.0 * g)
+            np.testing.assert_array_equal(g, np.arange(6.0).reshape(3, 2))
+
     def test_forward_determinism(self):
         def run():
             rng = rng_for(12)
             a = Tensor(rng.standard_normal((4, 4)))
-            return T.row_softmax(T.matmul(a, a)).data.tobytes()
+            gain, bias = Tensor(rng.uniform(0.5, 1.5, size=4)), Tensor(rng.standard_normal(4))
+            return T.layer_norm(T.matmul(a, a), gain, bias).data.tobytes()
 
         assert run() == run()
 
@@ -435,12 +506,13 @@ def test_random_op_gradients_sweep(seed):
     a = Tensor(rng.standard_normal((m, k)))
     b = Tensor(rng.standard_normal((k, n)))
     probe = Tensor(rng.standard_normal((m, n)))
+    gain, bias = Tensor(rng.uniform(0.5, 1.5, size=n)), Tensor(rng.standard_normal(n))
 
     def f(t):
         z = T.matmul(t, b)
         z = T.add(z, probe)
         z = T.gelu(z)
-        z = T.row_softmax(z)
+        z = T.layer_norm(z, gain, bias)
         return T.reduce_sum(T.mul(z, probe))
 
     assert finite_difference_check(f, a) < 1e-4
