@@ -22,11 +22,11 @@ from .encoders import MLPEncoder, ViTConfig, ViTEncoder, patchify
 from .engine import LogRow, embed_dataset, loss_alignment, loss_refinement, loss_stabilization, train
 from .evaluate import (
     AngularProjection,
-    VerificationPair,
+    PairSet,
     VerificationReport,
     angular_projection,
     cluster_stats,
-    tar_at_far,
+    tar_at_far,  # kept importable here; not in __all__, as the report reads the ROC arrays
     verification_report,
 )
 from .losses import (
@@ -57,6 +57,7 @@ __all__ = [
     "LogRow",
     "MLPEncoder",
     "MarginSpec",
+    "PairSet",
     "Phase",
     "PrototypeBank",
     "SampleSet",
@@ -64,7 +65,6 @@ __all__ = [
     "StageState",
     "Tensor",
     "TrainConfig",
-    "VerificationPair",
     "VerificationReport",
     "ViTConfig",
     "ViTEncoder",
@@ -89,7 +89,6 @@ __all__ = [
     "save_checkpoint",
     "softmax_ce_loss",
     "step_scheduler",
-    "tar_at_far",
     "train",
     "unified_margin_loss",
     "verification_report",

@@ -8,8 +8,9 @@ plus a sorted-keys JSON header (array names/shapes and scalar metadata)
 followed by the arrays' raw bytes as little-endian float64 in header order.
 The prototypes section's metadata names the logistic mixing activation, the
 only one there is. Round trips are bit-exact, which is what makes resumed
-runs reproduce uninterrupted ones. Every malformed file raises
-``FileFormatError``.
+runs reproduce uninterrupted ones. The file is written through
+``fileio.atomic_write``, so a failed save leaves the previous file whole.
+Every malformed file raises ``FileFormatError``.
 
 Version 2 names each ViT layer's attention parameters ``attn_qkv.w`` /
 ``attn_qkv.b`` (one fused q/k/v projection) where version 1 had per-head
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
+from .fileio import atomic_write
 from .scheduler import Phase, StageState
 
 MAGIC = b"LVPC"
@@ -139,7 +141,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     sections["rng"] = _encode_section({"state": _rng_state_to_json(ckpt.rng_state)}, {})
     sections["config"] = _encode_section({"config": ckpt.config}, {})
 
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", ckpt.version))
         for name in _SECTIONS:

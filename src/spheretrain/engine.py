@@ -248,6 +248,9 @@ def train(
     # The stream at the boundary ``state.iteration`` names. An abort
     # checkpoint saves this, not the stream after the failed iteration's draws.
     rng_state = rng.bit_generator.state
+    # The prototype columns and flags an uncounted iteration's fold overwrote,
+    # put back before an abort checkpoint pairs them with ``rng_state``.
+    folded = None
     try:
         for it in range(state.iteration + 1, config.max_iterations + 1):
             batch_idx = rng.choice(n, size=config.batch_size_at(it), replace=False)
@@ -260,6 +263,8 @@ def train(
                 sample_set = ncs.sample(dataset.num_classes, config.r, batch_labels, rng)
             bank.lay_out(class_major=sample_set is not None)
             if phase is not Phase.ALIGNMENT:
+                ids = np.unique(batch_labels)
+                folded = (ids, protos.E[:, ids], protos.initialized[ids])
                 protos.batch_update(batch_labels, features.data)
 
             if phase is Phase.ALIGNMENT:
@@ -294,6 +299,7 @@ def train(
 
             state.iteration = it
             rng_state = rng.bit_generator.state
+            folded = None
             step_scheduler(state, css, config.delta1, config.delta2, config.css_beta)
             row = LogRow(
                 iteration=it,
@@ -306,6 +312,10 @@ def train(
             rows.append(row)
             log.write(row)
     except Exception:
+        if folded is not None:
+            ids, columns, flags = folded
+            protos.E[:, ids] = columns
+            protos.initialized[ids] = flags
         if checkpoint_path is not None:
             save_checkpoint(
                 checkpoint_path,

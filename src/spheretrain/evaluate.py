@@ -1,11 +1,13 @@
 """Verification metrics and cluster statistics for embedding sets.
 
-Pairs are scored by cosine similarity. The accept threshold for a target
-false-accept rate sweeps the observed impostor scores: the threshold is the
-smallest impostor score whose accept rate (counting ties on the accept side)
-does not exceed the target. If even the largest impostor score is too
-permissive, the operating point sits just above it and only strictly larger
-genuine scores are accepted.
+A protocol is a ``PairSet`` of index and match-flag arrays; pairs are scored
+by cosine similarity. The ROC sweeps the distinct impostor scores from the
+largest down. At score v, FAR is the share of impostors >= v (ties accept)
+and TAR the share of genuine scores >= v, counted with one sort of the
+genuine scores and one ``searchsorted``. A first point at FAR 0 sits just
+above the largest impostor score and accepts only strictly larger genuine
+scores. FAR rises strictly along the sweep, so ``tar_at_far`` reads the TAR
+of the last point whose FAR does not exceed the target.
 """
 
 from __future__ import annotations
@@ -18,16 +20,27 @@ from .errors import DegenerateInputError, DomainError, ProtocolError, ShapeError
 
 
 @dataclass(frozen=True)
-class VerificationPair:
-    index_a: int
-    index_b: int
-    is_match: bool
+class PairSet:
+    """Verification pairs as three read-only rows: sample indices ``index_a``
+    and ``index_b`` (int64) and ``is_match`` (bool)."""
+
+    index_a: np.ndarray
+    index_b: np.ndarray
+    is_match: np.ndarray
 
     def __post_init__(self):
-        if self.index_a == self.index_b:
-            raise ShapeError(f"a pair cannot compare sample {self.index_a} with itself")
-        if self.index_a < 0 or self.index_b < 0:
-            raise ShapeError("pair indices must be nonnegative")
+        for name, dtype in (("index_a", np.int64), ("index_b", np.int64), ("is_match", bool)):
+            row = np.array(getattr(self, name), dtype=dtype)
+            row.setflags(write=False)
+            object.__setattr__(self, name, row)
+        a, b = self.index_a, self.index_b
+        if a.ndim != 1 or not a.shape == b.shape == self.is_match.shape:
+            raise ShapeError(f"pair rows of shapes {a.shape}, {b.shape}, {self.is_match.shape}")
+        if np.any((a == b) | (a < 0) | (b < 0)):
+            raise ShapeError("a pair needs two distinct nonnegative sample indices")
+
+    def __len__(self) -> int:
+        return self.is_match.size
 
 
 @dataclass
@@ -39,50 +52,41 @@ class VerificationReport:
     sample_count: int
 
 
-def split_scores(scores: np.ndarray, is_match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _roc(scores: np.ndarray, is_match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(FAR, TAR) arrays of the sweep in the module docstring."""
     scores = np.asarray(scores, dtype=np.float64)
     is_match = np.asarray(is_match, dtype=bool)
     if scores.shape != is_match.shape:
         raise ShapeError(f"{scores.shape} scores for {is_match.shape} match flags")
-    return scores[is_match], scores[~is_match]
+    genuine, impostor = scores[is_match], scores[~is_match]
+    if impostor.size == 0:
+        raise ProtocolError("protocol has no impostor pairs")
+    if genuine.size == 0:
+        raise ProtocolError("protocol has no genuine pairs")
+    ranked = np.sort(genuine[~np.isnan(genuine)])  # a NaN score is never accepted
+    values, counts = np.unique(impostor, return_counts=True)
+    below = np.r_[np.searchsorted(ranked, values[-1], "right"),
+                  np.searchsorted(ranked, values[::-1])]
+    far = np.r_[0, np.cumsum(counts[::-1])] / impostor.size
+    return far, (ranked.size - below) / genuine.size
+
+
+def _tar_at(fars: np.ndarray, tars: np.ndarray, far: float) -> float:
+    if not 0.0 < far < 1.0:
+        raise DomainError(f"far must lie in (0, 1), got {far}")
+    return float(tars[np.searchsorted(fars, far, "right") - 1])
 
 
 def tar_at_far(scores: np.ndarray, is_match: np.ndarray, far: float) -> float:
     """True-accept rate at the largest operating point whose false-accept
     rate stays at or below ``far``."""
-    if not 0.0 < far < 1.0:
-        raise DomainError(f"far must lie in (0, 1), got {far}")
-    genuine, impostor = split_scores(scores, is_match)
-    if impostor.size == 0:
-        raise ProtocolError("protocol has no impostor pairs")
-    if genuine.size == 0:
-        raise ProtocolError("protocol has no genuine pairs")
-    imp_sorted = np.sort(impostor)
-    values, first = np.unique(imp_sorted, return_index=True)
-    rates = (impostor.size - first) / impostor.size  # accept rate at each impostor score
-    ok = np.flatnonzero(rates <= far)
-    if ok.size == 0:
-        threshold = values[-1]
-        return float(np.mean(genuine > threshold))
-    threshold = values[ok[0]]
-    return float(np.mean(genuine >= threshold))
+    return _tar_at(*_roc(scores, is_match), far)
 
 
 def roc_points(scores: np.ndarray, is_match: np.ndarray) -> list[tuple[float, float]]:
     """(FAR, TAR) pairs swept over the distinct impostor scores, FAR strictly
     increasing, starting at the zero-false-accept operating point."""
-    genuine, impostor = split_scores(scores, is_match)
-    if impostor.size == 0:
-        raise ProtocolError("protocol has no impostor pairs")
-    if genuine.size == 0:
-        raise ProtocolError("protocol has no genuine pairs")
-    values, first = np.unique(np.sort(impostor), return_index=True)
-    points = [(0.0, float(np.mean(genuine > values[-1])))]
-    for value, lo in zip(values[::-1], first[::-1]):
-        far = (impostor.size - lo) / impostor.size
-        tar = float(np.mean(genuine >= value))
-        points.append((float(far), tar))
-    return points
+    return list(zip(*(a.tolist() for a in _roc(scores, is_match))))
 
 
 def cluster_stats(features: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -96,9 +100,7 @@ def cluster_stats(features: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     classes = np.unique(labels)
     if classes.size < 2:
         raise DegenerateInputError("cluster statistics need at least two classes")
-    intra_sum = 0.0
-    intra_count = 0
-    centroids = []
+    intra_sum, intra_count, centroids = 0.0, 0, []
     for cls in classes:
         block = feat[labels == cls]
         mean = block.mean(axis=0)
@@ -116,8 +118,7 @@ def cluster_stats(features: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     centroids = np.stack(centroids)
     cg = centroids @ centroids.T
     iu = np.triu_indices(classes.size, k=1)
-    inter = float(cg[iu].mean())
-    return intra_sum / intra_count, inter
+    return intra_sum / intra_count, float(cg[iu].mean())
 
 
 @dataclass
@@ -133,12 +134,9 @@ def _pca_references(features: np.ndarray) -> np.ndarray:
     _, svals, vt = np.linalg.svd(features, full_matrices=False)
     if vt.shape[0] < 2 or svals[1] <= 1e-10 * max(svals[0], 1e-300):
         raise DomainError("feature set is rank-deficient; cannot pick two directions")
-    refs = vt[:2].copy()
-    for k in range(2):
-        lead = np.argmax(np.abs(refs[k]))
-        if refs[k, lead] < 0:
-            refs[k] = -refs[k]
-    return refs
+    refs = vt[:2]
+    lead = refs[np.arange(2), np.argmax(np.abs(refs), axis=1)]
+    return refs * np.where(lead < 0, -1.0, 1.0)[:, None]  # exact sign flips
 
 
 def angular_projection(
@@ -158,9 +156,7 @@ def angular_projection(
     if ref_policy == "pca":
         refs = _pca_references(feat)
     elif ref_policy == "axes":
-        refs = np.zeros((2, features.shape[1]))
-        refs[0, 0] = 1.0
-        refs[1, 1] = 1.0
+        refs = np.eye(2, features.shape[1])
     else:
         raise DomainError(f"unknown reference policy {ref_policy!r}")
     coords = 1.0 - feat @ refs.T
@@ -171,21 +167,19 @@ def angular_projection(
 def verification_report(
     features: np.ndarray,
     labels: np.ndarray,
-    pairs: list[VerificationPair],
+    pairs: PairSet,
     far_targets: list[float],
 ) -> VerificationReport:
     features = np.asarray(features, dtype=np.float64)
     feat = features / np.linalg.norm(features, axis=1, keepdims=True)
-    idx_a = np.asarray([p.index_a for p in pairs], dtype=np.int64)
-    idx_b = np.asarray([p.index_b for p in pairs], dtype=np.int64)
-    if idx_a.size and max(idx_a.max(), idx_b.max()) >= feat.shape[0]:
+    if len(pairs) and max(pairs.index_a.max(), pairs.index_b.max()) >= feat.shape[0]:
         raise ShapeError("pair index out of range for the embedding set")
-    scores = np.einsum("ij,ij->i", feat[idx_a], feat[idx_b])
-    is_match = np.asarray([p.is_match for p in pairs], dtype=bool)
+    scores = np.einsum("ij,ij->i", feat[pairs.index_a], feat[pairs.index_b])
+    roc = _roc(scores, pairs.is_match)
     intra, inter = cluster_stats(feat, labels)
     return VerificationReport(
-        roc=roc_points(scores, is_match),
-        tar_at={float(f): tar_at_far(scores, is_match, f) for f in far_targets},
+        roc=list(zip(*(a.tolist() for a in roc))),
+        tar_at={float(f): _tar_at(*roc, f) for f in far_targets},
         intra_mean_cos=intra,
         inter_mean_cos=inter,
         sample_count=int(feat.shape[0]),
@@ -197,21 +191,16 @@ def make_pairs(
     rng: np.random.Generator,
     max_genuine: int | None = None,
     max_impostor: int | None = None,
-) -> list[VerificationPair]:
-    """All genuine and impostor index pairs, optionally down-sampled."""
+) -> PairSet:
+    """All genuine and impostor index pairs, optionally down-sampled; genuine
+    pairs first, each group in upper-triangle order."""
     labels = np.asarray(labels, dtype=np.int64)
-    n = labels.shape[0]
-    iu = np.triu_indices(n, k=1)
+    iu = np.triu_indices(labels.shape[0], k=1)
     match = labels[iu[0]] == labels[iu[1]]
-    genuine = np.flatnonzero(match)
-    impostor = np.flatnonzero(~match)
+    genuine, impostor = np.flatnonzero(match), np.flatnonzero(~match)
     if max_genuine is not None and genuine.size > max_genuine:
         genuine = np.sort(rng.choice(genuine, size=max_genuine, replace=False))
     if max_impostor is not None and impostor.size > max_impostor:
         impostor = np.sort(rng.choice(impostor, size=max_impostor, replace=False))
-    out = []
-    for k in genuine:
-        out.append(VerificationPair(int(iu[0][k]), int(iu[1][k]), True))
-    for k in impostor:
-        out.append(VerificationPair(int(iu[0][k]), int(iu[1][k]), False))
-    return out
+    rows = np.concatenate([genuine, impostor])
+    return PairSet(iu[0][rows], iu[1][rows], np.arange(rows.size) < genuine.size)

@@ -8,21 +8,27 @@ u32 channels, count*width*width*channels float32 pixels (row major),
 count u32 labels.
 
 Pair protocol: UTF-8 CSV with header ``id_a,id_b,is_match`` and 0/1 match
-flags. Projection table: CSV with header ``coord1,coord2,label``.
+flags, one pair per line; it reads back as a ``PairSet``. Projection table:
+CSV with header ``coord1,coord2,label``.
 
 Every reader raises ``FileFormatError`` for input that does not match its
-layout, whatever is wrong with it.
+layout, whatever is wrong with it. Every writer, ``save_checkpoint`` too, is
+atomic: it fills a temporary file beside the target and renames it over the
+target once complete, so a failed write leaves the earlier file whole.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FileFormatError, ShapeError
-from .evaluate import AngularProjection, VerificationPair
+from .evaluate import AngularProjection, PairSet
 
 EMB_MAGIC = b"LVEM"
 IMG_MAGIC = b"LVIM"
@@ -30,11 +36,46 @@ EMB_VERSION = 1
 IMG_VERSION = 1
 
 
-def _header_fields(raw: bytes, path, count: int) -> tuple[int, ...]:
-    """The ``count`` u32 header fields after the 4-byte magic."""
-    if len(raw) < 4 + 4 * count:
+@contextmanager
+def atomic_write(path: str | Path):
+    """A binary handle whose contents replace ``path`` once the block ends;
+    if it raises, ``path`` is untouched and the temporary file removed."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_labelled(path, magic: bytes, header: tuple[int, ...], values, labels) -> None:
+    """Magic, u32 header fields, float32 values (row major), u32 labels."""
+    with atomic_write(path) as fh:
+        fh.write(magic + struct.pack(f"<{len(header)}I", *header))
+        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
+
+
+def _read_labelled(path, magic: bytes, version: int, kind: str, fields: int, shape_of):
+    """Values shaped by ``shape_of(count, *header fields after the version)``
+    and int64 labels, from a file ``_write_labelled`` wrote."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != magic:
+        raise FileFormatError(f"{path}: not an {kind} file (bad magic)")
+    if len(raw) < 4 + 4 * fields:
         raise FileFormatError(f"{path}: file ends inside its header")
-    return struct.unpack_from(f"<{count}I", raw, 4)
+    found, count, *dims = struct.unpack_from(f"<{fields}I", raw, 4)
+    if found != version:
+        raise FileFormatError(f"{path}: unsupported {kind} file version {found}")
+    shape = shape_of(count, *dims)
+    offset, size = 4 + 4 * fields, math.prod(shape)
+    if len(raw) != offset + 4 * size + 4 * count:
+        raise FileFormatError(f"{path}: {kind} file length does not match header")
+    values = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
+    labels = np.frombuffer(raw, dtype="<u4", count=count, offset=offset + 4 * size)
+    return values.reshape(shape).copy(), labels.astype(np.int64)
 
 
 def write_embeddings(path: str | Path, features: np.ndarray, labels: np.ndarray) -> None:
@@ -44,28 +85,11 @@ def write_embeddings(path: str | Path, features: np.ndarray, labels: np.ndarray)
         raise ShapeError(
             f"need (n, d) features and (n,) labels, got {features.shape} and {labels.shape}"
         )
-    count, dim = features.shape
-    with open(path, "wb") as fh:
-        fh.write(EMB_MAGIC)
-        fh.write(struct.pack("<III", EMB_VERSION, count, dim))
-        fh.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
+    _write_labelled(path, EMB_MAGIC, (EMB_VERSION, *features.shape), features, labels)
 
 
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != EMB_MAGIC:
-        raise FileFormatError(f"{path}: not an embedding file (bad magic)")
-    version, count, dim = _header_fields(raw, path, 3)
-    if version != EMB_VERSION:
-        raise FileFormatError(f"{path}: unsupported embedding version {version}")
-    offset = 16
-    feat_bytes = count * dim * 4
-    if len(raw) != offset + feat_bytes + count * 4:
-        raise FileFormatError(f"{path}: embedding file length does not match header")
-    features = np.frombuffer(raw, dtype="<f4", count=count * dim, offset=offset)
-    labels = np.frombuffer(raw, dtype="<u4", count=count, offset=offset + feat_bytes)
-    return features.reshape(count, dim).copy(), labels.astype(np.int64)
+    return _read_labelled(path, EMB_MAGIC, EMB_VERSION, "embedding", 3, lambda n, d: (n, d))
 
 
 def write_images(path: str | Path, images: np.ndarray, labels: np.ndarray) -> None:
@@ -76,44 +100,33 @@ def write_images(path: str | Path, images: np.ndarray, labels: np.ndarray) -> No
     if labels.shape != (images.shape[0],):
         raise ShapeError(f"{labels.shape} labels for {images.shape[0]} images")
     count, width, _, channels = images.shape
-    with open(path, "wb") as fh:
-        fh.write(IMG_MAGIC)
-        fh.write(struct.pack("<IIII", IMG_VERSION, count, width, channels))
-        fh.write(np.ascontiguousarray(images, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
+    _write_labelled(path, IMG_MAGIC, (IMG_VERSION, count, width, channels), images, labels)
 
 
 def read_images(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != IMG_MAGIC:
-        raise FileFormatError(f"{path}: not an image file (bad magic)")
-    version, count, width, channels = _header_fields(raw, path, 4)
-    if version != IMG_VERSION:
-        raise FileFormatError(f"{path}: unsupported image file version {version}")
-    offset = 20
-    pix = count * width * width * channels
-    if len(raw) != offset + pix * 4 + count * 4:
-        raise FileFormatError(f"{path}: image file length does not match header")
-    images = np.frombuffer(raw, dtype="<f4", count=pix, offset=offset)
-    labels = np.frombuffer(raw, dtype="<u4", count=count, offset=offset + pix * 4)
-    return images.reshape(count, width, width, channels).copy(), labels.astype(np.int64)
+    return _read_labelled(path, IMG_MAGIC, IMG_VERSION, "image", 4,
+                          lambda n, w, c: (n, w, w, c))
 
 
-def write_pairs(path: str | Path, pairs: list[VerificationPair]) -> None:
-    lines = ["id_a,id_b,is_match"]
-    for p in pairs:
-        lines.append(f"{p.index_a},{p.index_b},{1 if p.is_match else 0}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_csv(path: str | Path, header: str, row_format: str, table: np.ndarray) -> None:
+    text = (row_format * len(table)) % tuple(table.ravel().tolist())
+    with atomic_write(path) as fh:
+        fh.write(f"{header}\n{text}".encode())
 
 
-def read_pairs(path: str | Path) -> list[VerificationPair]:
+def write_pairs(path: str | Path, pairs: PairSet) -> None:
+    table = np.column_stack([pairs.index_a, pairs.index_b, pairs.is_match])
+    _write_csv(path, "id_a,id_b,is_match", "%d,%d,%d\n", table)
+
+
+def read_pairs(path: str | Path) -> PairSet:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != "id_a,id_b,is_match":
         raise FileFormatError(f"{path}: expected header 'id_a,id_b,is_match'")
-    pairs = []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -126,15 +139,11 @@ def read_pairs(path: str | Path) -> list[VerificationPair]:
             raise FileFormatError(f"{path}:{lineno}: non-integer field") from exc
         if flag not in (0, 1):
             raise FileFormatError(f"{path}:{lineno}: is_match must be 0 or 1")
-        try:
-            pairs.append(VerificationPair(a, b, bool(flag)))
-        except ShapeError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    return pairs
+        if a == b or min(a, b) < 0 or max(a, b) >= 2**63:
+            raise FileFormatError(f"{path}:{lineno}: need two distinct indices in [0, 2**63)")
+        rows.append((a, b, flag))
+    return PairSet(*np.array(rows, dtype=np.int64).reshape(-1, 3).T)
 
 
 def write_projection(path: str | Path, projection: AngularProjection) -> None:
-    lines = ["coord1,coord2,label"]
-    for c1, c2, label in projection.points:
-        lines.append(f"{c1!r},{c2!r},{int(label)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "coord1,coord2,label", "%r,%r,%d\n", projection.points)

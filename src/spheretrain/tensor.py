@@ -247,26 +247,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # transcendental / clamped ops
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g * data)
-
-    return _make(data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-    data = np.log(a.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g / a.data)
-
-    return _make(data, (a,), backward)
-
-
 def cos(a: Tensor) -> Tensor:
     data = np.cos(a.data)
 

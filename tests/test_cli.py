@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,28 @@ class TestDataAndEvalCommands:
         assert features.shape == (120, 12)
         assert np.bincount(labels).tolist() == [20] * 6
         pairs = read_pairs(tmp_path / "pairs.csv")
-        assert sum(not p.is_match for p in pairs) == 400
+        assert int((~pairs.is_match).sum()) == 400
+
+    def test_eval_of_gen_data_pairs_is_unchanged(self, tmp_path, sphere_data_spec, capsys):
+        # the pairs file and report that the one-object-per-pair protocol wrote and printed
+        data = tmp_path / "data.lvem"
+        assert main(["gen-data", "--spec", sphere_data_spec, "--out", str(data)]) == 0
+        pairs = tmp_path / "pairs.csv"
+        assert hashlib.sha256(pairs.read_bytes()).hexdigest() == (
+            "c00a07d2916cba862c086d12f909d06f0f77fc916d03f5a752a3c57deba233cf")
+        capsys.readouterr()
+        assert main(["eval", "--emb", str(data), "--pairs", str(pairs),
+                     "--far", "1e-3,1e-2,1e-1,0.5"]) == 0
+        assert capsys.readouterr().out == (
+            "metric,value\n"
+            "tar@far=0.001,0.7429824561403509\n"
+            "tar@far=0.01,0.9385964912280702\n"
+            "tar@far=0.1,1.0\n"
+            "tar@far=0.5,1.0\n"
+            "intra_mean_cos,0.7560523522743022\n"
+            "inter_mean_cos,0.008789444489795814\n"
+            "sample_count,120\n"
+        )
 
     def test_gen_data_images(self, tmp_path):
         spec = write(

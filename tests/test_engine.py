@@ -349,6 +349,36 @@ class TestTrainLoop:
                                 fresh_encoder(), resume=saved)
         assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[3:]]
 
+    @pytest.mark.parametrize("loss_name, thresholds", [
+        ("loss_stabilization", {}),  # stabilization from iteration 44
+        ("loss_refinement", {"delta1": 0.01, "delta2": 0.01}),  # refinement from iteration 3
+    ])
+    def test_abort_in_a_prototype_loss_resumes_to_the_uninterrupted_log(
+            self, tmp_path, monkeypatch, loss_name, thresholds):
+        # the prototypes have folded the failing iteration's batch when its loss raises
+        ds = sphere_fixture(11)
+        cfg = quick_config(seed=21, max_iterations=60, **thresholds)
+        _, full_rows = train(cfg, ds, fresh_encoder())
+        original = getattr(engine, loss_name)
+        calls = {"n": 0}
+
+        def explode_on_the_5th(*args):
+            calls["n"] += 1
+            if calls["n"] == 5:
+                raise RuntimeError("synthetic failure")
+            return original(*args)
+
+        monkeypatch.setattr(engine, loss_name, explode_on_the_5th)
+        ckpt_path = tmp_path / "abort.lvpc"
+        with pytest.raises(RuntimeError):
+            train(cfg, ds, fresh_encoder(), checkpoint_path=ckpt_path)
+        monkeypatch.setattr(engine, loss_name, original)
+        saved = load_checkpoint(ckpt_path)
+        done = saved.stage.iteration
+        assert full_rows[done].phase == loss_name.removeprefix("loss_")
+        _, resumed_rows = train(cfg, ds, fresh_encoder(), resume=saved)
+        assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[done:]]
+
     def test_abort_after_the_iteration_counted_resumes_after_it(self, tmp_path, monkeypatch):
         # iteration 4 has stepped and counted itself when the scheduler fails
         ds = sphere_fixture(11)

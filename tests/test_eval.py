@@ -1,8 +1,16 @@
+import builtins
+import errno
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spheretrain.checkpoint import save_checkpoint
+from spheretrain.config import TrainConfig
+from spheretrain.data import Dataset
+from spheretrain.encoders import MLPEncoder
+from spheretrain.engine import train
 from spheretrain.errors import (
     DegenerateInputError,
     DomainError,
@@ -11,7 +19,7 @@ from spheretrain.errors import (
     ShapeError,
 )
 from spheretrain.evaluate import (
-    VerificationPair,
+    PairSet,
     angular_projection,
     cluster_stats,
     make_pairs,
@@ -52,6 +60,29 @@ def oracle_tar_at_far(genuine, impostor, far):
     if chosen is None:
         return float(np.mean(genuine > impostor.max()))
     return float(np.mean(genuine >= chosen))
+
+
+def loop_roc_points(scores, is_match):
+    """The per-value sweep ``roc_points`` replaced: one O(G) mean per
+    distinct impostor score."""
+    genuine, impostor = scores[is_match], scores[~is_match]
+    values, first = np.unique(np.sort(impostor), return_index=True)
+    points = [(0.0, float(np.mean(genuine > values[-1])))]
+    for value, lo in zip(values[::-1], first[::-1]):
+        far = (impostor.size - lo) / impostor.size
+        points.append((float(far), float(np.mean(genuine >= value))))
+    return points
+
+
+def loop_tar_at_far(scores, is_match, far):
+    """The per-value ``tar_at_far`` the ROC arrays replaced."""
+    genuine, impostor = scores[is_match], scores[~is_match]
+    values, first = np.unique(np.sort(impostor), return_index=True)
+    rates = (impostor.size - first) / impostor.size
+    ok = np.flatnonzero(rates <= far)
+    if ok.size == 0:
+        return float(np.mean(genuine > values[-1]))
+    return float(np.mean(genuine >= values[ok[0]]))
 
 
 def combine(genuine, impostor):
@@ -134,6 +165,47 @@ class TestRoc:
                 assert tar_at_far(scores, flags, far) == tar
 
 
+class TestRocMatchesTheLoop:
+    """The sorted sweep gives the per-value loop's ROC and TAR bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        levels=st.integers(1, 12),
+        genuine=st.lists(st.integers(-1, 12), min_size=1, max_size=30),
+        impostor=st.lists(st.integers(-1, 12), min_size=1, max_size=30),
+        on_point=st.booleans(),
+        pick=st.floats(0.0, 1.0),
+    )
+    @example(levels=1, genuine=[1], impostor=[0, 1, 1], on_point=True, pick=0.5)
+    @example(levels=4, genuine=[0, 3, 3, 4], impostor=[3], on_point=False, pick=0.5)
+    @example(levels=4, genuine=[3], impostor=[3], on_point=False, pick=0.99)
+    @example(levels=2, genuine=[-1, 1], impostor=[-1, 0, 1], on_point=False, pick=0.5)
+    def test_random_protocols(self, levels, genuine, impostor, on_point, pick):
+        # few levels force ties within and across the two groups; -1 is a NaN
+        # score, as a zero embedding row gives
+        scores, flags = combine(*(np.where(np.array(v) < 0, np.nan, np.array(v) / levels)
+                                  for v in (genuine, impostor)))
+        points = loop_roc_points(scores, flags)
+        assert roc_points(scores, flags) == points
+        inner = [far for far, _ in points if 0.0 < far < 1.0]
+        if on_point and inner:
+            far = inner[min(int(pick * len(inner)), len(inner) - 1)]  # exactly a ROC FAR
+        else:
+            far = min(max(pick, 1e-3), 1.0 - 1e-3)
+        assert tar_at_far(scores, flags, far) == loop_tar_at_far(scores, flags, far)
+
+    def test_report_reads_the_same_sweep(self):
+        rng = rng_for(16)
+        feats = unit_rows(rng, 40, 4)
+        labels = rng.integers(0, 4, size=40)
+        pairs = make_pairs(labels, rng)
+        report = verification_report(feats, labels, pairs, [1e-3, 0.05, 0.5])
+        scores = np.einsum("ij,ij->i", feats[pairs.index_a], feats[pairs.index_b])
+        assert report.roc == loop_roc_points(scores, pairs.is_match)
+        for far in (1e-3, 0.05, 0.5):
+            assert report.tar_at[far] == loop_tar_at_far(scores, pairs.is_match, far)
+
+
 class TestClusterStats:
     def test_tight_orthogonal_classes(self):
         feats = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 1.0, 0]])
@@ -208,21 +280,63 @@ class TestAngularProjection:
             angular_projection(np.eye(3), [0, 1, 2], ref_policy="tsne")
 
 
+def loop_pairs_file(labels, rng, max_genuine=None, max_impostor=None):
+    """The pairs file as the per-pair ``make_pairs`` and the line-by-line
+    ``write_pairs`` built it."""
+    iu = np.triu_indices(labels.shape[0], k=1)
+    match = labels[iu[0]] == labels[iu[1]]
+    genuine, impostor = np.flatnonzero(match), np.flatnonzero(~match)
+    if max_genuine is not None and genuine.size > max_genuine:
+        genuine = np.sort(rng.choice(genuine, size=max_genuine, replace=False))
+    if max_impostor is not None and impostor.size > max_impostor:
+        impostor = np.sort(rng.choice(impostor, size=max_impostor, replace=False))
+    lines = ["id_a,id_b,is_match"]
+    for rows, flag in ((genuine, 1), (impostor, 0)):
+        lines += [f"{int(iu[0][k])},{int(iu[1][k])},{flag}" for k in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestVerificationPairs:
-    def test_self_pair_rejected(self):
+    @pytest.mark.parametrize("index_a, index_b, is_match", [
+        ([3], [3], [True]),
+        ([0, 5], [1, 5], [True, False]),
+        ([-1], [2], [False]),
+        ([0], [-2], [False]),
+        ([0, 1], [1], [True, False]),
+        ([0], [1], [True, False]),
+        ([[0, 1]], [[2, 3]], [[True, False]]),
+    ], ids=["self-pair", "self-pair-second", "negative-a", "negative-b", "short-b",
+            "long-flags", "not-1d"])
+    def test_invalid_rows_rejected(self, index_a, index_b, is_match):
         with pytest.raises(ShapeError):
-            VerificationPair(3, 3, True)
+            PairSet(index_a, index_b, is_match)
+
+    def test_rows_are_typed_read_only_copies(self):
+        index_a = np.array([0, 1], dtype=np.int32)
+        pairs = PairSet(index_a, [2, 3], [1, 0])
+        assert len(pairs) == 2
+        assert (pairs.index_a.dtype, pairs.index_b.dtype, pairs.is_match.dtype) == (
+            np.int64, np.int64, bool)
+        index_a[0] = 7
+        assert pairs.index_a.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            pairs.is_match[0] = False
 
     def test_make_pairs_counts(self):
         labels = np.array([0, 0, 0, 1, 1])
         pairs = make_pairs(labels, rng_for(10))
-        genuine = [p for p in pairs if p.is_match]
-        impostor = [p for p in pairs if not p.is_match]
-        assert len(genuine) == 3 + 1
-        assert len(impostor) == 6
+        assert int(pairs.is_match.sum()) == 3 + 1
+        assert int((~pairs.is_match).sum()) == 6
         pairs_capped = make_pairs(labels, rng_for(10), max_genuine=2, max_impostor=3)
-        assert sum(p.is_match for p in pairs_capped) == 2
-        assert sum(not p.is_match for p in pairs_capped) == 3
+        assert int(pairs_capped.is_match.sum()) == 2
+        assert int((~pairs_capped.is_match).sum()) == 3
+
+    @pytest.mark.parametrize("caps", [(None, None), (7, 50), (1000, 3)])
+    def test_pairs_file_bytes_match_the_per_pair_writer(self, tmp_path, caps):
+        labels = rng_for(17).integers(0, 5, size=40)
+        path = tmp_path / "pairs.csv"
+        write_pairs(path, make_pairs(labels, rng_for(18), *caps))
+        assert path.read_bytes() == loop_pairs_file(labels, rng_for(18), *caps)
 
     def test_report_end_to_end(self):
         rng = rng_for(11)
@@ -269,10 +383,13 @@ class TestFileFormats:
         np.testing.assert_array_equal(got_labels, labels)
 
     def test_pairs_round_trip(self, tmp_path):
-        pairs = [VerificationPair(0, 1, True), VerificationPair(0, 2, False)]
+        pairs = PairSet([0, 0], [1, 2], [True, False])
         path = tmp_path / "pairs.csv"
         write_pairs(path, pairs)
-        assert read_pairs(path) == pairs
+        got = read_pairs(path)
+        for name in ("index_a", "index_b", "is_match"):
+            assert getattr(got, name).dtype == getattr(pairs, name).dtype
+            np.testing.assert_array_equal(getattr(got, name), getattr(pairs, name))
         assert path.read_text().splitlines()[0] == "id_a,id_b,is_match"
 
     def test_pairs_bad_header(self, tmp_path):
@@ -294,11 +411,11 @@ class TestFileFormats:
         with pytest.raises(FileFormatError):
             read_pairs(path)
 
-    @pytest.mark.parametrize("line", ["3,3,1", "-1,2,0"])
+    @pytest.mark.parametrize("line", ["3,3,1", "-1,2,0", "1,-2,0", "0,9223372036854775808,0"])
     def test_pairs_invalid_pair(self, tmp_path, line):
         path = tmp_path / "pairs.csv"
-        path.write_text(f"id_a,id_b,is_match\n{line}\n")
-        with pytest.raises(FileFormatError):
+        path.write_text(f"id_a,id_b,is_match\n0,1,1\n\n{line}\n")
+        with pytest.raises(FileFormatError, match=r"pairs\.csv:4: "):
             read_pairs(path)
 
     def test_projection_csv(self, tmp_path):
@@ -310,6 +427,66 @@ class TestFileFormats:
         lines = path.read_text().splitlines()
         assert lines[0] == "coord1,coord2,label"
         assert len(lines) == 11
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=np.float64)
+        assert rows.tobytes() == proj.points.tobytes()
+
+    @pytest.mark.parametrize("kind", ["embeddings", "images", "pairs", "projection",
+                                      "checkpoint"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, kind):
+        write, old, new = _two_writes(kind)
+        path = tmp_path / "artifact"
+        write(path, old)
+        before = path.read_bytes()
+        with monkeypatch.context() as patched:
+            patched.setattr(builtins, "open", _DiskFull)
+            with pytest.raises(OSError):
+                write(path, new)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        write(path, new)
+        assert path.read_bytes() != before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+_open = builtins.open
+
+
+class _DiskFull:
+    """A file that keeps half of its first write, then fails as a full disk does."""
+
+    def __init__(self, *args, **kwargs):
+        self._fh = _open(*args, **kwargs)
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _two_writes(kind):
+    """A writer taking (path, value) and two values that give different files."""
+    rng = rng_for(19)
+    if kind == "embeddings":
+        return (lambda p, x: write_embeddings(p, x, np.arange(3)),
+                rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
+    if kind == "images":
+        return (lambda p, x: write_images(p, x, np.arange(2)),
+                rng.uniform(size=(2, 2, 2, 1)), rng.uniform(size=(2, 2, 2, 1)))
+    if kind == "pairs":
+        return write_pairs, PairSet([0], [1], [True]), PairSet([0, 2], [1, 3], [True, False])
+    if kind == "projection":
+        feats = unit_rows(rng, 6, 3)
+        return (write_projection, angular_projection(feats, np.arange(6)),
+                angular_projection(feats, np.arange(6), ref_policy="axes"))
+    data = Dataset(unit_rows(rng, 8, 4), np.arange(8) % 2, num_classes=2)
+    ckpts = [train(TrainConfig(seed=seed, max_iterations=1, batch_size=4), data,
+                   MLPEncoder(4, 8, 4))[0] for seed in (0, 1)]
+    return (save_checkpoint, *ckpts)
 
 
 def _valid_files(tmp_path) -> dict:
@@ -317,7 +494,7 @@ def _valid_files(tmp_path) -> dict:
     rng = rng_for(15)
     write_embeddings(tmp_path / "e.lvem", rng.standard_normal((3, 2)), np.arange(3))
     write_images(tmp_path / "i.lvim", rng.uniform(size=(2, 2, 2, 1)), np.arange(2))
-    write_pairs(tmp_path / "p.csv", [VerificationPair(0, 1, True), VerificationPair(2, 10, False)])
+    write_pairs(tmp_path / "p.csv", PairSet([0, 2], [1, 10], [True, False]))
     return {
         "embeddings": (read_embeddings, (tmp_path / "e.lvem").read_bytes()),
         "images": (read_images, (tmp_path / "i.lvim").read_bytes()),
