@@ -15,11 +15,14 @@ parts:
 * refinement: both parts over all C classes; sub-sampling is off. The
   prototype part is restricted to classes that have actually been seen.
 
-One optimizer step per iteration with decoupled weight decay; classifier
-updates touch only the selected columns while sub-sampling is active, and the
-touched columns are re-normalized onto the unit sphere afterwards. A log row
-is emitted per iteration and a checkpoint is written at the end (or on
-abort). Identical config and seed reproduce the run bit for bit.
+While sub-sampling is active, the selected classifier columns are gathered
+once into a (d, |set|) leaf of their own; the loss, its gradient and the
+optimizer step see only that block, which is re-normalized onto the unit
+sphere and scattered back once. One optimizer step per iteration with
+decoupled weight decay; every gradient passes its finite check before any
+parameter moves, so an abort leaves the last iteration boundary intact. A
+log row is emitted per iteration and a checkpoint is written at the end (or
+on abort). Identical config and seed reproduce the run bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from . import tensor as T
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import TrainConfig
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .losses import (
     ClassifierBank,
     MarginSpec,
@@ -43,6 +46,7 @@ from .losses import (
     cosine_logits,
     margin_log_sum_exp,
     margin_positive,
+    unit_columns,
 )
 from .optim import AdamW
 from .prototypes import PrototypeBank
@@ -76,11 +80,26 @@ def loss_alignment(
     sample_set: SampleSet,
     s: float,
     m: float,
+    columns: Tensor | None = None,
 ) -> Tensor:
-    """Cosine-margin loss over the sampled columns only, batch mean."""
-    columns = ncs.gather_columns(bank, sample_set)
+    """Cosine-margin loss over the sampled columns only, batch mean.
+
+    ``columns`` is the (d, |set|) block of the sampled columns to score, as
+    the training loop gathers it; by default they are gathered from the
+    bank, and the gradient lands in ``bank.weight.grad``.
+    """
+    columns = _sampled_columns(bank, sample_set, columns)
     local = sample_set.local_labels(labels)
     return cosface_loss(cosine_logits(features, columns, local), s, m)
+
+
+def _sampled_columns(bank: ClassifierBank, sample_set: SampleSet, columns) -> Tensor:
+    if columns is None:
+        return ncs.gather_columns(bank, sample_set)
+    if columns.shape != (bank.dim, sample_set.size):
+        raise ShapeError(f"need a ({bank.dim}, {sample_set.size}) block of sampled columns, "
+                         f"got {columns.shape}")
+    return columns
 
 
 def _classifier_and_prototype_loss(
@@ -117,11 +136,13 @@ def loss_stabilization(
     s: float,
     m1: float,
     m2: float,
+    columns: Tensor | None = None,
 ) -> Tensor:
     """Sampled classifier term with margin m1 plus a prototype term with
-    margin m2 over the initialized part of the same column subset."""
+    margin m2 over the initialized part of the same column subset.
+    ``columns`` is as for ``loss_alignment``."""
     return _classifier_and_prototype_loss(
-        features, labels, ncs.gather_columns(bank, sample_set), sample_set.global_ids,
+        features, labels, _sampled_columns(bank, sample_set, columns), sample_set.global_ids,
         prototype_bank, s, m1, m2,
     )
 
@@ -240,8 +261,7 @@ def train(
         rng = np.random.Generator(np.random.Philox(config.seed))
         rng.bit_generator.state = copy.deepcopy(resume.rng_state)
 
-    params = [(f"encoder.{name}", t) for name, t in encoder.params()]
-    params.append(("classifier", bank.weight))
+    encoder_params = [(f"encoder.{name}", t) for name, t in encoder.params()]
 
     rows: list[LogRow] = []
     log = _LogWriter(log_path, append=resume is not None)
@@ -258,23 +278,27 @@ def train(
             features = encoder.forward(dataset.inputs[batch_idx])
             phase = state.phase
 
-            sample_set = None
+            sample_set = ids = None
             if phase is not Phase.REFINEMENT:
                 sample_set = ncs.sample(dataset.num_classes, config.r, batch_labels, rng)
+                ids = sample_set.global_ids
             bank.lay_out(class_major=sample_set is not None)
+            # A sampled step's leaf is its own (d, |set|) class-major block.
+            leaf = (bank.weight if ids is None
+                    else Tensor(bank.weight.data[:, ids], requires_grad=True))
             if phase is not Phase.ALIGNMENT:
-                ids = np.unique(batch_labels)
-                folded = (ids, protos.E[:, ids], protos.initialized[ids])
+                seen = np.unique(batch_labels)
+                folded = (seen, protos.E[:, seen], protos.initialized[seen])
                 protos.batch_update(batch_labels, features.data)
 
             if phase is Phase.ALIGNMENT:
                 loss = loss_alignment(
-                    features, batch_labels, bank, sample_set, config.s, config.m
+                    features, batch_labels, bank, sample_set, config.s, config.m, leaf
                 )
             elif phase is Phase.STABILIZATION:
                 loss = loss_stabilization(
                     features, batch_labels, bank, protos, sample_set,
-                    config.s, config.m1, config.m2,
+                    config.s, config.m1, config.m2, leaf,
                 )
             else:
                 loss = loss_refinement(
@@ -284,18 +308,17 @@ def train(
             css = css_score(features.data, bank.weight.data, batch_labels)
             loss.backward()
             lr = config.lr_at(it)
-            for name, p in params:
-                if p.grad is None:
-                    continue
-                columns = (
-                    sample_set.global_ids
-                    if (name == "classifier" and sample_set is not None)
-                    else None
-                )
-                opt.step(name, p.data, p.grad, lr, config.weight_decay, columns=columns)
-            bank.renormalize_columns(sample_set.global_ids if sample_set is not None else None)
-            for _, p in params:
-                p.zero_grad()
+            stepped = [(name, t) for name, t in encoder_params if t.grad is not None]
+            # No parameter moves before every gradient passed its finite check:
+            # the encoder's here, the classifier's in its own step, which goes first.
+            for name, t in stepped:
+                opt.check_finite(name, t.grad)
+            opt.step("classifier", bank.weight.data, leaf.grad, lr, config.weight_decay,
+                     columns=ids, project=unit_columns)
+            for name, t in stepped:
+                opt.step(name, t.data, t.grad, lr, config.weight_decay, checked=True)
+                t.zero_grad()
+            bank.weight.zero_grad()
 
             state.iteration = it
             rng_state = rng.bit_generator.state
@@ -313,9 +336,9 @@ def train(
             log.write(row)
     except Exception:
         if folded is not None:
-            ids, columns, flags = folded
-            protos.E[:, ids] = columns
-            protos.initialized[ids] = flags
+            seen, columns, flags = folded
+            protos.E[:, seen] = columns
+            protos.initialized[seen] = flags
         if checkpoint_path is not None:
             save_checkpoint(
                 checkpoint_path,

@@ -52,6 +52,16 @@ class VerificationReport:
     sample_count: int
 
 
+def _unit_rows(features: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit norm; a zero row has no direction, so it is a
+    ``DegenerateInputError`` naming the first one."""
+    norms = np.linalg.norm(features, axis=1, keepdims=True)
+    zero = norms[:, 0] == 0.0
+    if zero.any():
+        raise DegenerateInputError(f"embedding row {int(np.argmax(zero))} is zero")
+    return features / norms
+
+
 def _roc(scores: np.ndarray, is_match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(FAR, TAR) arrays of the sweep in the module docstring."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -96,7 +106,7 @@ def cluster_stats(features: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ShapeError(f"{features.shape} features for {labels.shape} labels")
-    feat = features / np.linalg.norm(features, axis=1, keepdims=True)
+    feat = _unit_rows(features)
     classes = np.unique(labels)
     if classes.size < 2:
         raise DegenerateInputError("cluster statistics need at least two classes")
@@ -152,7 +162,7 @@ def angular_projection(
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or features.shape[1] < 2:
         raise ShapeError(f"need rank-2 features with d >= 2, got {features.shape}")
-    feat = features / np.linalg.norm(features, axis=1, keepdims=True)
+    feat = _unit_rows(features)
     if ref_policy == "pca":
         refs = _pca_references(feat)
     elif ref_policy == "axes":
@@ -171,7 +181,7 @@ def verification_report(
     far_targets: list[float],
 ) -> VerificationReport:
     features = np.asarray(features, dtype=np.float64)
-    feat = features / np.linalg.norm(features, axis=1, keepdims=True)
+    feat = _unit_rows(features)
     if len(pairs) and max(pairs.index_a.max(), pairs.index_b.max()) >= feat.shape[0]:
         raise ShapeError("pair index out of range for the embedding set")
     scores = np.einsum("ij,ij->i", feat[pairs.index_a], feat[pairs.index_b])

@@ -41,14 +41,20 @@ class ClassifierBank:
     """The d x C matrix of unit-norm class-center columns, as a trainable leaf.
 
     The weight keeps its (d, C) shape in one of two memory orders, set by
-    ``lay_out`` before each training step. A sampled step reads and writes
-    |set| columns (gather, optimizer, re-normalization); it runs on the
-    class-major (column-major) layout, where a class's d values are
-    contiguous, so that work does not stride across all C columns. A dense
-    step multiplies the whole weight, and BLAS rounds differently on a
-    column-major operand, so it runs on the row-major layout. Sampled steps
-    see the weight only through gathered blocks and per-element updates,
-    which do not depend on the layout, so results are the same either way.
+    ``lay_out`` before each training step. A dense step multiplies the whole
+    weight, and BLAS rounds differently on a column-major operand, so it
+    runs on the row-major layout, with ``weight`` as the step's leaf and a
+    (d, C) gradient. A sampled step runs on the class-major (column-major)
+    layout, where a class's d values are contiguous. The training loop
+    gathers the selected columns once, ``weight.data[:, ids]``, into a
+    column-major (d, |set|) leaf of its own. The loss, its gradient, the
+    optimizer's moments and update, and ``unit_columns`` all work on blocks
+    of that size and order, and ``AdamW.step(columns=ids)`` scatters the
+    stepped block back once, so nothing the size of (d, C) is allocated or
+    read. ``loss_alignment`` and ``loss_stabilization`` called without such
+    a block gather through ``tensor.gather_cols`` and leave a (d, C)
+    gradient in ``weight.grad``; ``renormalize_columns`` restores unit norm
+    after that step.
     """
 
     weight: Tensor
@@ -92,11 +98,17 @@ class ClassifierBank:
         """Rescale columns back to unit norm, touching only ``ids`` if given."""
         w = self.weight.data
         if ids is None:
-            w /= np.linalg.norm(w, axis=0, keepdims=True)
+            unit_columns(w)
         else:
             idx = np.asarray(ids, dtype=np.int64)
             block = w[:, idx]
-            w[:, idx] = block / np.linalg.norm(block, axis=0, keepdims=True)
+            unit_columns(block)
+            w[:, idx] = block
+
+
+def unit_columns(block: np.ndarray) -> None:
+    """Rescale every column of ``block`` to unit norm, in place."""
+    block /= np.linalg.norm(block, axis=0, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,13 @@ never mutated; optimizers may rewrite leaf ``.data`` between forward passes,
 never while a graph referencing the leaf is alive. Only
 :func:`margin_logsumexp` works in place, on the exponent block it allocates
 itself and shares with no other op. A first gradient is a copy of the upstream
-array in the tensor's memory order. Independent graphs may be evaluated
-concurrently; a single graph must stay confined to one worker.
+array in the tensor's memory order. :func:`matmul` computes the gradient of a
+column-major right operand (a gathered classifier block) column-major too, as
+(g^T a)^T, so that copy is contiguous; BLAS may round that product, and a
+product with a column-major operand, differently in the last bit from the
+row-major one. :func:`clip` builds its gradient mask only when some input was
+actually clipped or is NaN. Independent graphs may be evaluated concurrently;
+a single graph must stay confined to one worker.
 """
 
 from __future__ import annotations
@@ -238,7 +243,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        # A column-major right operand (a classifier block) gets a column-major
+        # gradient, so that ``_accumulate`` copies it contiguously.
+        if b.data.flags.f_contiguous and not b.data.flags.c_contiguous:
+            _accumulate(b, (g.T @ a.data).T)
+        else:
+            _accumulate(b, a.data.T @ g)
 
     return _make(data, (a, b), backward)
 
@@ -269,12 +279,18 @@ def arccos(a: Tensor) -> Tensor:
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes only where the input was in range."""
+    """Clamp to [lo, hi]; gradient passes only where the input was in range.
+
+    The mask is built only when some input lies outside [lo, hi] or is NaN;
+    otherwise the gradient passes through unchanged, the same bits that a
+    mask of all ones gives.
+    """
     data = np.clip(a.data, lo, hi)
-    mask = (a.data >= lo) & (a.data <= hi)
+    inside = a.data.size == 0 or lo <= a.data.min() and a.data.max() <= hi
+    mask = None if inside else (a.data >= lo) & (a.data <= hi)
 
     def backward(g: Array) -> None:
-        _accumulate(a, g * mask)
+        _accumulate(a, g if mask is None else g * mask)
 
     return _make(data, (a,), backward)
 

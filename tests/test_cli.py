@@ -5,7 +5,14 @@ import pytest
 
 from spheretrain.checkpoint import load_checkpoint, save_checkpoint
 from spheretrain.cli import main
-from spheretrain.fileio import read_embeddings, read_images, read_pairs
+from spheretrain.evaluate import make_pairs
+from spheretrain.fileio import (
+    read_embeddings,
+    read_images,
+    read_pairs,
+    write_embeddings,
+    write_pairs,
+)
 
 
 def write(path, text):
@@ -155,6 +162,19 @@ class TestDataAndEvalCommands:
             "inter_mean_cos,0.008789444489795814\n"
             "sample_count,120\n"
         )
+
+    def test_eval_with_a_zero_embedding_row_exits_one(self, tmp_path, capsys):
+        rng = np.random.Generator(np.random.Philox(4))
+        features = rng.standard_normal((20, 4))
+        features[3] = 0.0
+        labels = np.arange(20) % 4
+        write_embeddings(tmp_path / "e.lvem", features, labels)
+        write_pairs(tmp_path / "pairs.csv", make_pairs(labels, rng))
+        assert main(["eval", "--emb", str(tmp_path / "e.lvem"),
+                     "--pairs", str(tmp_path / "pairs.csv"), "--far", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "embedding row 3 " in captured.err
 
     def test_gen_data_images(self, tmp_path):
         spec = write(

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spheretrain import engine
+from spheretrain import tensor as T
 from spheretrain.checkpoint import load_checkpoint
 from spheretrain.config import TrainConfig
 from spheretrain.data import Dataset, SphereClusterSpec, gen_sphere_dataset
@@ -14,7 +17,7 @@ from spheretrain.engine import (
     loss_stabilization,
     train,
 )
-from spheretrain.errors import ConfigError, StateError
+from spheretrain.errors import ConfigError, NumericError, ShapeError, StateError
 from spheretrain.losses import ClassifierBank, cosface_loss, cosine_logits
 from spheretrain.optim import AdamW
 from spheretrain.prototypes import PrototypeBank
@@ -55,6 +58,27 @@ class TestStageLosses:
         feats2 = Tensor(feats.data)
         b = cosface_loss(cosine_logits(feats2, bank.weight, labels), 64.0, 0.4).item()
         assert a == b
+
+    @pytest.mark.parametrize("loss_name", ["loss_alignment", "loss_stabilization"])
+    def test_gathered_block_takes_the_classifier_gradient(self, loss_name):
+        # the training loop's own (d, |set|) leaf in place of the bank's columns
+        rng, feats, bank, labels = loss_setup(3, batch=6)
+        sset = sample(bank.num_classes, 0.5, labels, rng)
+        protos = filled_prototypes(rng, bank.dim, bank.num_classes)
+        extra = (protos,) if loss_name == "loss_stabilization" else ()
+        margins = (64.0, 0.4, 0.2) if extra else (64.0, 0.4)
+        loss = getattr(engine, loss_name)
+        via_bank = loss(feats, labels, bank, *extra, sset, *margins)
+        block = Tensor(bank.weight.data[:, sset.global_ids], requires_grad=True)
+        via_block = loss(feats, labels, bank, *extra, sset, *margins, block)
+        assert via_block.item() == pytest.approx(via_bank.item(), rel=1e-13)
+        via_bank.backward()
+        via_block.backward()
+        np.testing.assert_allclose(block.grad, bank.weight.grad[:, sset.global_ids],
+                                   rtol=1e-12, atol=1e-14)
+        wrong = Tensor(np.ones((bank.dim, sset.size + 1)), requires_grad=True)
+        with pytest.raises(ShapeError):
+            loss(feats, labels, bank, *extra, sset, *margins, wrong)
 
     def test_alignment_perfectly_separated(self):
         dim, classes = 6, 6
@@ -402,6 +426,50 @@ class TestTrainLoop:
                                 fresh_encoder(), resume=saved)
         assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[4:]]
 
+    @pytest.mark.parametrize("thresholds", [
+        {},  # alignment: the classifier gradient is a sampled block
+        {"delta1": 0.01, "delta2": 0.01},  # refinement from iteration 3: a dense gradient
+    ], ids=["sampled", "dense"])
+    @pytest.mark.parametrize("poisoned", ["classifier", "encoder"])
+    def test_non_finite_gradient_moves_no_parameter(
+            self, tmp_path, monkeypatch, thresholds, poisoned):
+        # one gradient of the 5th iteration turns NaN after backward
+        ds = sphere_fixture(11)
+        cfg = quick_config(seed=21, max_iterations=12, **thresholds)
+        _, full_rows = train(cfg, ds, fresh_encoder())
+        boundary, _ = train(quick_config(seed=21, max_iterations=4, **thresholds), ds,
+                            fresh_encoder())
+        enc = fresh_encoder()
+        backward = Tensor.backward
+        calls = {"n": 0}
+
+        def poison_the_5th(root):
+            encoder = {id(t) for _, t in enc.params()}
+            leaves = [t for t in T._topological_order(root)
+                      if t.requires_grad and not t._parents and id(t) not in encoder]
+            backward(root)
+            calls["n"] += 1
+            if calls["n"] == 5:
+                (classifier,) = leaves
+                target = classifier if poisoned == "classifier" else list(enc.params())[-1][1]
+                target.grad[0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poison_the_5th)
+        ckpt_path = tmp_path / "abort.lvpc"
+        with pytest.raises(NumericError, match=f"'{poisoned}"):
+            train(cfg, ds, enc, checkpoint_path=ckpt_path)
+        monkeypatch.setattr(Tensor, "backward", backward)
+        saved = load_checkpoint(ckpt_path)
+        assert saved.stage.iteration == 4
+        for name, arr in boundary.encoder_arrays.items():
+            assert saved.encoder_arrays[name].tobytes() == arr.tobytes(), name
+        for name, arr in boundary.optimizer_arrays.items():
+            assert saved.optimizer_arrays[name].tobytes() == arr.tobytes(), name
+        assert saved.optimizer_counts == boundary.optimizer_counts
+        assert saved.classifier.tobytes() == boundary.classifier.tobytes()
+        _, resumed_rows = train(cfg, ds, fresh_encoder(), resume=saved)
+        assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[4:]]
+
     def test_resume_arch_mismatch_rejected(self, tmp_path):
         ds = sphere_fixture(12)
         path = tmp_path / "m.lvpc"
@@ -419,3 +487,42 @@ class TestTrainLoop:
         full = embed_dataset(enc, ds.inputs, batch_size=7)
         direct = enc.forward(ds.inputs).data
         assert full.tobytes() == direct.tobytes()
+
+
+def sampled_iteration_peak_bytes(num_classes, monkeypatch, selected=1000):
+    """Peak traced allocation from ``backward`` to the end of the optimizer
+    steps (classifier renormalization included) of the second sampled
+    iteration, with ``selected`` classes in every sample set."""
+    rng = rng_for(31)
+    ds = Dataset(inputs=rng.standard_normal((64, 32)),
+                 labels=rng.integers(0, num_classes, size=64), num_classes=num_classes)
+    cfg = TrainConfig(seed=3, max_iterations=2, batch_size=64, r=selected / num_classes,
+                      delta1=1.0, delta2=1.0)
+    backward, step_scheduler = Tensor.backward, engine.step_scheduler
+    peaks = []
+
+    def traced_backward(root):
+        tracemalloc.start()
+        backward(root)
+
+    def untraced_scheduler(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        return step_scheduler(*args)
+
+    monkeypatch.setattr(Tensor, "backward", traced_backward)
+    monkeypatch.setattr(engine, "step_scheduler", untraced_scheduler)
+    try:
+        train(cfg, ds, MLPEncoder(32, 64, 32))
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    return peaks[-1]
+
+
+def test_sampled_iteration_allocation_does_not_grow_with_classes(monkeypatch):
+    small = sampled_iteration_peak_bytes(10_000, monkeypatch)
+    large = sampled_iteration_peak_bytes(100_000, monkeypatch)
+    # A (d, C) gradient alone would add d * C * 8 = 23 MB at C = 100k over 10k.
+    assert abs(large - small) < 0.01 * small, f"peak {large} bytes at C = 100k vs {small} at 10k"
+

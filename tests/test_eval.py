@@ -206,6 +206,20 @@ class TestRocMatchesTheLoop:
             assert report.tar_at[far] == loop_tar_at_far(scores, pairs.is_match, far)
 
 
+def test_zero_embedding_row_is_named():
+    # a zero row has no direction: its cosines would be NaN, not a score
+    rng = rng_for(19)
+    feats = rng.standard_normal((20, 4))
+    feats[[3, 11]] = 0.0
+    labels = rng.integers(0, 3, size=20)
+    with pytest.raises(DegenerateInputError, match="embedding row 3 "):
+        verification_report(feats, labels, make_pairs(labels, rng), [0.1])
+    with pytest.raises(DegenerateInputError, match="embedding row 3 "):
+        cluster_stats(feats, labels)
+    with pytest.raises(DegenerateInputError, match="embedding row 3 "):
+        angular_projection(feats, labels)
+
+
 class TestClusterStats:
     def test_tight_orthogonal_classes(self):
         feats = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 1.0, 0]])

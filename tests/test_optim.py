@@ -1,9 +1,14 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spheretrain import optim
 from spheretrain.errors import NumericError, ShapeError
+from spheretrain.losses import ClassifierBank, unit_columns
 from spheretrain.optim import ADAM_EPS, AdamW
 
 
@@ -190,3 +195,127 @@ def test_restricted_step_allocation_does_not_grow_with_classes():
     # Equal up to numpy's bookkeeping (a few hundred bytes); one temporary
     # over all C columns would add at least d * C = 3.2 MB at C = 100k.
     assert abs(large - small) < 0.01 * small, f"peak {large} bytes at C = 100k vs {small} at 10k"
+
+
+def reference_column_step(moments, p, grad, idx, t, lr, weight_decay, beta1=0.9, beta2=0.999):
+    """The column-restricted step and re-normalization written out plainly:
+    read the selected columns out of a full gradient, write every result
+    column back, then rescale those columns to unit norm."""
+    m, v = moments
+    g = grad[:, idx]
+    m_sel = beta1 * m[:, idx] + (1.0 - beta1) * g
+    v_sel = beta2 * v[:, idx] + (1.0 - beta2) * g * g
+    m[:, idx] = m_sel
+    v[:, idx] = v_sel
+    update = (m_sel / (1.0 - beta1**t)) / (np.sqrt(v_sel / (1.0 - beta2**t)) + ADAM_EPS)
+    p_sel = p[:, idx]
+    if weight_decay:
+        update = update + weight_decay * p_sel
+    p_sel -= lr * update
+    p[:, idx] = p_sel
+    block = p[:, idx]
+    p[:, idx] = block / np.linalg.norm(block, axis=0, keepdims=True)
+
+
+def reference_dense_step(moments, p, grad, t, lr, weight_decay, beta1=0.9, beta2=0.999):
+    """The dense step, then ``renormalize_columns()`` of every column."""
+    m, v = moments
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    update = (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + ADAM_EPS)
+    if weight_decay:
+        update = update + weight_decay * p
+    p -= lr * update
+    p /= np.linalg.norm(p, axis=0, keepdims=True)
+
+
+class TestBlockStep:
+    """``AdamW.step`` on a (d, |columns|) block gradient, against the step
+    on a zero-filled (d, C) gradient followed by ``renormalize_columns``,
+    and the dense step with ``project`` against ``renormalize_columns()``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, 9),
+        classes=st.integers(2, 40),
+        steps=st.integers(1, 4),
+        weight_decay=st.sampled_from([0.0, 0.05, 0.3]),
+        column_major=st.booleans(),
+        selection=st.sampled_from(["some", "all", "dense"]),
+        chunk=st.sampled_from([1 << 14, 1, 7, 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dim=2, classes=2, steps=1, weight_decay=0.0, column_major=False, selection="all",
+             chunk=1 << 14, seed=0)
+    def test_block_step_matches_the_zero_filled_oracle(
+            self, dim, classes, steps, weight_decay, column_major, selection, chunk, seed):
+        # "dense" steps every column with columns=None
+        rng = rng_for(seed)
+        order = "F" if column_major else "C"
+        w = np.array(rng.uniform(-1.0, 1.0, size=(dim, classes)), order=order)
+        w /= np.linalg.norm(w, axis=0, keepdims=True)
+        ref = w.copy(order=order)
+        ref_moments = (np.zeros_like(ref), np.zeros_like(ref))
+        opt = AdamW()
+        with mock.patch.object(optim, "_CHUNK_ENTRIES", chunk):
+            for t in range(1, steps + 1):
+                size = int(rng.integers(1, classes + 1)) if selection == "some" else classes
+                ids = np.sort(rng.choice(classes, size=size, replace=False))
+                block = np.array(rng.standard_normal((dim, size)), order=order)
+                full = np.zeros_like(ref)
+                full[:, ids] = block
+                if selection == "dense":
+                    reference_dense_step(ref_moments, ref, full, t, 1e-2, weight_decay)
+                else:
+                    reference_column_step(ref_moments, ref, full, ids, t, 1e-2, weight_decay)
+                opt.step("classifier", w, full if selection == "dense" else block, 1e-2,
+                         weight_decay, columns=None if selection == "dense" else ids,
+                         project=unit_columns)
+                assert w.tobytes() == ref.tobytes()
+                assert [a.tobytes() for a in opt.moments["classifier"]] == [
+                    a.tobytes() for a in ref_moments]
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 6), classes=st.integers(2, 30), column_major=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_full_gradient_with_columns_matches_the_oracle(self, dim, classes, column_major,
+                                                           seed):
+        # criterion 3's path: a (d, C) gradient, then renormalize_columns
+        rng = rng_for(seed)
+        order = "F" if column_major else "C"
+        bank = ClassifierBank.init_random(dim, classes, rng)
+        bank.weight.data = np.array(bank.weight.data, order=order)
+        ref = bank.weight.data.copy(order=order)
+        ref_moments = (np.zeros_like(ref), np.zeros_like(ref))
+        opt = AdamW()
+        for t in range(1, 4):
+            ids = np.sort(rng.choice(classes, size=int(rng.integers(1, classes + 1)),
+                                     replace=False))
+            grad = np.array(rng.standard_normal((dim, classes)), order=order)
+            reference_column_step(ref_moments, ref, grad, ids, t, 1e-2, 0.05)
+            opt.step("classifier", bank.weight.data, grad, 1e-2, 0.05, columns=ids)
+            bank.renormalize_columns(ids)
+            assert bank.weight.data.tobytes() == ref.tobytes()
+            assert [a.tobytes() for a in opt.moments["classifier"]] == [
+                a.tobytes() for a in ref_moments]
+
+    def test_block_of_the_wrong_width_rejected(self):
+        with pytest.raises(ShapeError):
+            AdamW().step("p", np.ones((3, 10)), np.ones((3, 4)), 0.1, columns=np.arange(3))
+
+    def test_nan_in_a_block_names_its_class(self):
+        p = column_major(np.ones((3, 50)))
+        g = np.zeros((3, 3), order="F")
+        g[1, 2] = np.nan
+        opt = AdamW()
+        with pytest.raises(NumericError, match=r"'classifier' at index \(1, 40\)"):
+            opt.step("classifier", p, g, lr=0.1, columns=np.array([5, 37, 40]))
+        assert (p == 1.0).all() and "classifier" not in opt.step_counts
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_sum_is_not_a_non_finite_gradient(self):
+        opt = AdamW()
+        opt.step("p", np.ones((2, 2)), np.full((2, 2), 1e308), lr=0.1)
+        assert opt.step_counts["p"] == 1 and np.isfinite(opt.moments["p"][0]).all()

@@ -41,6 +41,16 @@ class TestMatmul:
         )
         assert err < 1e-6
 
+    def test_column_major_right_operand_gradient(self):
+        # a gathered classifier block: (g^T a)^T, the same values, column-major
+        rng = rng_for(2)
+        a = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+        g = rng.standard_normal((6, 5))
+        b = Tensor(np.asfortranarray(rng.standard_normal((4, 5))), requires_grad=True)
+        T.reduce_sum(T.mul(T.matmul(a, b), Tensor(g))).backward()
+        np.testing.assert_allclose(b.grad, a.data.T @ g, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=1e-14, atol=1e-15)
+
 
 class TestElementwise:
     def test_add_zero_is_identity(self):
@@ -362,6 +372,35 @@ class TestClipArccos:
         x = Tensor(np.array([[-2.0, 0.5, 2.0]]), requires_grad=True)
         T.reduce_sum(T.clip(x, -1.0, 1.0)).backward()
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(0, 4),
+        cols=st.integers(0, 6),
+        bounds=st.sampled_from([(-1.0 + 1e-7, 1.0 - 1e-7), (0.0, np.pi), (-2.0, -2.0)]),
+        specials=st.lists(st.tuples(st.integers(0, 23), st.sampled_from(
+            ["lo", "hi", "below", "above", "nan", "-0"])), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lazy_mask_matches_the_two_comparison_mask(self, rows, cols, bounds, specials,
+                                                       seed):
+        # the mask is built only when some input is outside [lo, hi] or NaN
+        lo, hi = bounds
+        rng = rng_for(seed)
+        x = rng.uniform(lo, hi, size=(rows, cols))
+        values = {"lo": lo, "hi": hi, "below": np.nextafter(lo, -np.inf),
+                  "above": np.nextafter(hi, np.inf), "nan": np.nan, "-0": -0.0}
+        for where, kind in specials:
+            if x.size:
+                x.flat[where % x.size] = values[kind]
+        upstream = rng.standard_normal((rows, cols))
+        upstream[rng.random((rows, cols)) < 0.2] = -0.0
+        t = Tensor(x, requires_grad=True)
+        out = T.clip(t, lo, hi)
+        T.reduce_sum(T.mul(out, Tensor(upstream))).backward()
+        mask = (x >= lo) & (x <= hi)
+        assert out.data.tobytes() == np.clip(x, lo, hi).tobytes()
+        assert t.grad.tobytes() == (upstream * mask).tobytes()
 
     def test_arccos_domain(self):
         with pytest.raises(DomainError):
