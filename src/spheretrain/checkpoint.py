@@ -14,8 +14,13 @@ Every malformed file raises ``FileFormatError``.
 
 Version 2 names each ViT layer's attention parameters ``attn_qkv.w`` /
 ``attn_qkv.b`` (one fused q/k/v projection) where version 1 had per-head
-``head{h}.w{q,k,v}`` / ``head{h}.b{q,k,v}``. Files of any other version,
-version 1 included, are rejected with a ``FileFormatError`` naming it.
+``head{h}.w{q,k,v}`` / ``head{h}.b{q,k,v}``. Version 3 keeps the encoder
+section's per-name arrays, but its optimizer section holds the encoder's
+moments as two flat (P,) arrays ``encoder.m`` / ``encoder.v`` in
+parameter declaration order with one step count ``encoder``, where version
+2 had a moment pair and a count per parameter. Files of any other version,
+versions 1 and 2 included, are rejected with a ``FileFormatError`` naming
+it: a version-2 file would resume with the encoder's moments silently reset.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .fileio import atomic_write
 from .scheduler import Phase, StageState
 
 MAGIC = b"LVPC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _SECTIONS = ("encoder", "classifier", "prototypes", "optimizer", "scheduler", "rng", "config")
 _PROTOTYPE_META = {"activation": "logistic"}
 
@@ -157,7 +162,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         (version,) = struct.unpack_from("<I", raw, 4)
         if version != FORMAT_VERSION:
-            raise FileFormatError(f"{path}: unsupported checkpoint version {version}")
+            raise FileFormatError(
+                f"{path}: unsupported checkpoint version {version}; this build reads "
+                f"version {FORMAT_VERSION}"
+            )
         offset = 8
         payloads: dict[str, bytes] = {}
         for name in _SECTIONS:

@@ -8,6 +8,7 @@ left for other consumers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -37,6 +38,10 @@ class TrainConfig:
     css_beta: float = 0.9
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name!r} must be finite, got {value}")
         if self.s <= 0:
             raise ConfigError(f"scale s must be positive, got {self.s}")
         if min(self.m, self.m1, self.m2) < 0:
@@ -115,7 +120,7 @@ class TrainConfig:
                     kwargs[f.name] = int(float(raw))
                 else:
                     kwargs[f.name] = float(raw)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {f.name!r}: {raw!r}") from exc
         cfg = cls(**kwargs)
         cfg.validate()
@@ -156,7 +161,7 @@ def get_int(mapping: dict[str, str], key: str, default: int | None = None) -> in
         return default
     try:
         return int(float(mapping[key]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad integer for {key!r}: {mapping[key]!r}") from exc
 
 

@@ -5,10 +5,18 @@ experiments on vector inputs, and a small vision transformer for images. The
 transformer has no class token; after the final layer every patch token is
 concatenated and fed through an MLP head, and the result is normalized onto
 the unit sphere.
+
+An encoder's parameters live in one flat float64 arena, a (P,) leaf whose
+gradient is a second (P,) vector: each named parameter is a reshaped view
+of its slice of both, in declaration order, so training steps, checks and
+clears all P values at once while checkpoints still see named arrays.
+``bind`` points the views at another (P,) tensor, which is how the
+gradient check perturbs every parameter through one probe row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,17 +108,19 @@ def patchify(images: np.ndarray, config: ViTConfig) -> np.ndarray:
 
 
 class _ParamStore:
-    """Ordered named parameters with kind-aware initialization."""
+    """Ordered named parameters with kind-aware initialization, each a view
+    into the (P,) ``arena`` leaf: its data in ``arena.data``, its gradient in
+    ``arena.grad``, which the autodiff accumulates into and training zeroes."""
 
     def __init__(self):
         self._specs: list[tuple[str, tuple[int, ...], str, tuple | None]] = []
         self._tensors: dict[str, Tensor] = {}
+        self.arena: Tensor | None = None
 
     def declare(self, name: str, shape: tuple[int, ...], kind: str, draw=None) -> None:
         """``draw`` = (draw_shape, axes): a weight drawn in another shape, then
         transposed by ``axes`` and reshaped, e.g. a fused weight's blocks."""
         self._specs.append((name, shape, kind, draw))
-        self._tensors[name] = Tensor(np.zeros(shape), requires_grad=True)
 
     def declare_affine(self, name: str, fan_in: int, fan_out: int, draw=None) -> None:
         self.declare(name + ".w", (fan_in, fan_out), "weight", draw)
@@ -119,6 +129,28 @@ class _ParamStore:
     def declare_norm(self, name: str, dim: int) -> None:
         self.declare(name + ".gain", (dim,), "gain")
         self.declare(name + ".bias", (dim,), "bias")
+
+    def allocate(self) -> None:
+        """Create the zeroed arena once every parameter is declared."""
+        size = sum(math.prod(shape) for _, shape, *_ in self._specs)
+        self.arena = Tensor(np.zeros(size), requires_grad=True)
+        self.arena.grad = np.zeros(size)
+        self._tensors = {name: Tensor(np.empty(shape), requires_grad=True)
+                         for name, shape, *_ in self._specs}
+        self.bind(self.arena)
+
+    def bind(self, flat: Tensor) -> None:
+        """View every parameter's data and grad in ``flat.data`` and
+        ``flat.grad``, consecutive slices in declaration order."""
+        if flat.shape != self.arena.shape or flat.grad is None or flat.grad.shape != flat.shape:
+            raise ShapeError(f"need a {self.arena.shape} tensor with a gradient to bind, "
+                             f"got {flat.shape}")
+        lo = 0
+        for name, t in self._tensors.items():
+            hi = lo + t.size
+            t.data = flat.data[lo:hi].reshape(t.shape)
+            t.grad = flat.grad[lo:hi].reshape(t.shape)
+            lo = hi
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -140,22 +172,20 @@ class _ParamStore:
                 draw_shape, axes = draw or (shape, tuple(range(len(shape))))
                 data = rng.normal(0.0, weight_std, size=draw_shape).transpose(axes).reshape(shape)
             elif kind == "bias":
-                data = np.zeros(shape)
+                data = 0.0
             elif kind == "gain":
-                data = np.ones(shape)
+                data = 1.0
             else:
                 raise ConfigError(f"unknown parameter kind {kind!r}")
-            self._tensors[name] = Tensor(data, requires_grad=True)
+            self[name].data[...] = data
+        self.arena.grad.fill(0.0)
 
     def items(self) -> list[tuple[str, Tensor]]:
-        return [(name, self._tensors[name]) for name, *_ in self._specs]
-
-    def num_params(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape, *_ in self._specs)
+        return list(self._tensors.items())
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every parameter from ``arrays``, which must hold exactly the
-        declared names and shapes; all are checked before any is replaced."""
+        """Overwrite every parameter from ``arrays``, which must hold exactly
+        the declared names and shapes; all are checked before any is written."""
         for name in arrays:
             if name not in self._tensors:
                 raise ConfigError(f"checkpoint has undeclared parameter {name!r}")
@@ -168,22 +198,19 @@ class _ParamStore:
                 raise ConfigError(
                     f"parameter {name!r} has shape {arr.shape}, expected {shape}"
                 )
-            loaded[name] = Tensor(arr.copy(), requires_grad=True)
-        self._tensors.update(loaded)
+            loaded[name] = arr
+        for name, arr in loaded.items():
+            self[name].data[...] = arr
+        self.arena.grad.fill(0.0)
 
 
-class MLPEncoder:
-    """Two affine layers with a smooth nonlinearity between, then unit-normalize."""
+class _Encoder:
+    """The parameter protocol both encoders share, over their ``_ParamStore``."""
 
-    def __init__(self, input_dim: int, hidden_dim: int, embed_dim: int):
-        if min(input_dim, hidden_dim, embed_dim) < 2:
-            raise ConfigError("all MLP dimensions must be at least 2")
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.embed_dim = embed_dim
-        self._store = _ParamStore()
-        self._store.declare_affine("fc1", input_dim, hidden_dim)
-        self._store.declare_affine("fc2", hidden_dim, embed_dim)
+    def __init__(self, store: _ParamStore):
+        store.allocate()
+        self._store = store
+        self.arena = store.arena  # the (P,) leaf every parameter is a view into
 
     def init(self, rng: np.random.Generator, weight_std: float = INIT_STD) -> None:
         self._store.init(rng, weight_std)
@@ -192,7 +219,30 @@ class MLPEncoder:
         return self._store.items()
 
     def num_params(self) -> int:
-        return self._store.num_params()
+        return self.arena.size
+
+    def bind(self, flat: Tensor) -> None:
+        """Make ``flat`` (a (P,) tensor with a gradient) the parameters' storage;
+        ``bind(self.arena)`` returns them to their own."""
+        self._store.bind(flat)
+
+    def restore(self, arrays: dict[str, np.ndarray]) -> None:
+        self._store.restore(arrays)
+
+
+class MLPEncoder(_Encoder):
+    """Two affine layers with a smooth nonlinearity between, then unit-normalize."""
+
+    def __init__(self, input_dim: int, hidden_dim: int, embed_dim: int):
+        if min(input_dim, hidden_dim, embed_dim) < 2:
+            raise ConfigError("all MLP dimensions must be at least 2")
+        self.input_dim = input_dim
+        self.hidden_dim = hidden_dim
+        self.embed_dim = embed_dim
+        store = _ParamStore()
+        store.declare_affine("fc1", input_dim, hidden_dim)
+        store.declare_affine("fc2", hidden_dim, embed_dim)
+        super().__init__(store)
 
     def forward(self, inputs: np.ndarray) -> Tensor:
         x = np.asarray(inputs, dtype=np.float64)
@@ -209,11 +259,8 @@ class MLPEncoder:
             "embed_dim": self.embed_dim,
         }
 
-    def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        self._store.restore(arrays)
 
-
-class ViTEncoder:
+class ViTEncoder(_Encoder):
     """Patch embedding, pre-norm transformer layers, all-token MLP head.
 
     Layer l computes, with LN inside the residual branch:
@@ -252,16 +299,7 @@ class ViTEncoder:
         store.declare_affine("head_fc1", config.num_patches * d, config.head_width)
         store.declare_norm("head_ln", config.head_width)
         store.declare_affine("head_fc2", config.head_width, config.embed_dim)
-        self._store = store
-
-    def init(self, rng: np.random.Generator, weight_std: float = INIT_STD) -> None:
-        self._store.init(rng, weight_std)
-
-    def params(self) -> list[tuple[str, Tensor]]:
-        return self._store.items()
-
-    def num_params(self) -> int:
-        return self._store.num_params()
+        super().__init__(store)
 
     def attention(self, tokens: Tensor, layer: int) -> Tensor:
         """Multi-head self-attention over the token rows of one or more images
@@ -298,9 +336,6 @@ class ViTEncoder:
 
     def describe(self) -> dict:
         return {"kind": "vit", **self.config.to_mapping()}
-
-    def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        self._store.restore(arrays)
 
 
 def build_encoder(arch: dict):

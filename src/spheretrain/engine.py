@@ -18,9 +18,12 @@ parts:
 While sub-sampling is active, the selected classifier columns are gathered
 once into a (d, |set|) leaf of their own; the loss, its gradient and the
 optimizer step see only that block, which is re-normalized onto the unit
-sphere and scattered back once. One optimizer step per iteration with
-decoupled weight decay; every gradient passes its finite check before any
-parameter moves, so an abort leaves the last iteration boundary intact. A
+sphere and scattered back once. The encoder's parameters are views into one
+flat arena (see ``encoders``), so each iteration makes two AdamW steps with
+decoupled weight decay, the classifier's and one over the whole encoder,
+then zero-fills the arena's gradient. Every gradient passes its finite check
+before any parameter moves, so an abort leaves the last iteration boundary
+intact; a non-finite encoder gradient is named by parameter and index. A
 log row is emitted per iteration and a checkpoint is written at the end (or
 on abort). Identical config and seed reproduce the run bit for bit.
 """
@@ -28,6 +31,7 @@ on abort). Identical config and seed reproduce the run bit for bit.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,6 +209,32 @@ def _snapshot(
     )
 
 
+def _check_resume_state(resume: Checkpoint, encoder, num_classes: int) -> None:
+    """Raise ``ConfigError`` unless the checkpoint's classifier, prototypes
+    and optimizer state have the shapes of this encoder and dataset, with
+    one moment pair per step count."""
+    d = encoder.embed_dim
+    for what, arr, shape in (("classifier", resume.classifier, (d, num_classes)),
+                             ("prototypes", resume.prototypes, (d, num_classes)),
+                             ("prototype flags", resume.prototypes_initialized, (num_classes,))):
+        if arr.shape != shape:
+            raise ConfigError(f"checkpoint {what} have shape {arr.shape}; this encoder and "
+                              f"dataset need {shape}")
+    params = {"classifier": (d, num_classes), "encoder": (encoder.num_params(),)}
+    counted = sorted(resume.optimizer_counts)
+    moments = {f"{name}.{k}" for name in counted for k in "mv"}
+    if moments != set(resume.optimizer_arrays):
+        raise ConfigError(f"checkpoint optimizer moments {sorted(resume.optimizer_arrays)} "
+                          f"do not pair with its step counts {counted}")
+    for name in counted:
+        if name not in params:
+            raise ConfigError(f"checkpoint optimizer state for unknown parameter {name!r}")
+        for key in (f"{name}.m", f"{name}.v"):
+            if resume.optimizer_arrays[key].shape != params[name]:
+                raise ConfigError(f"checkpoint optimizer moment {key!r} has shape "
+                                  f"{resume.optimizer_arrays[key].shape}, expected {params[name]}")
+
+
 def train(
     config: TrainConfig,
     dataset: Dataset,
@@ -246,12 +276,9 @@ def train(
             raise ConfigError(
                 "checkpoint encoder architecture does not match the provided encoder"
             )
+        _check_resume_state(resume, encoder, dataset.num_classes)
         encoder.restore(resume.encoder_arrays)
         bank = ClassifierBank(weight=Tensor(resume.classifier.copy(), requires_grad=True))
-        if bank.num_classes != dataset.num_classes:
-            raise ConfigError(
-                f"checkpoint has {bank.num_classes} classes, dataset has {dataset.num_classes}"
-            )
         protos = PrototypeBank(bank.dim, bank.num_classes)
         protos.E = resume.prototypes.copy()
         protos.initialized = resume.prototypes_initialized.copy()
@@ -261,7 +288,7 @@ def train(
         rng = np.random.Generator(np.random.Philox(config.seed))
         rng.bit_generator.state = copy.deepcopy(resume.rng_state)
 
-    encoder_params = [(f"encoder.{name}", t) for name, t in encoder.params()]
+    arena = encoder.arena
 
     rows: list[LogRow] = []
     log = _LogWriter(log_path, append=resume is not None)
@@ -308,16 +335,15 @@ def train(
             css = css_score(features.data, bank.weight.data, batch_labels)
             loss.backward()
             lr = config.lr_at(it)
-            stepped = [(name, t) for name, t in encoder_params if t.grad is not None]
             # No parameter moves before every gradient passed its finite check:
             # the encoder's here, the classifier's in its own step, which goes first.
-            for name, t in stepped:
-                opt.check_finite(name, t.grad)
+            if not math.isfinite(arena.grad.sum()):  # only a failure walks the views
+                for name, t in encoder.params():
+                    opt.check_finite(f"encoder.{name}", t.grad)
             opt.step("classifier", bank.weight.data, leaf.grad, lr, config.weight_decay,
                      columns=ids, project=unit_columns)
-            for name, t in stepped:
-                opt.step(name, t.data, t.grad, lr, config.weight_decay, checked=True)
-                t.zero_grad()
+            opt.step("encoder", arena.data, arena.grad, lr, config.weight_decay)
+            arena.grad.fill(0.0)
             bank.weight.zero_grad()
 
             state.iteration = it

@@ -47,78 +47,27 @@ def _unit_rows(rng, rows, dim):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def _results(checks) -> list[CheckResult]:
+    """One result per (name, scalar function, probe array), in order."""
+    return [CheckResult(name, finite_difference_check(f, Tensor(x)), LOSS_TOLERANCE)
+            for name, f, x in checks]
+
+
 def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(seed))
-    results = []
-    a = Tensor(rng.standard_normal((4, 3)))
+    a = rng.standard_normal((4, 3))
     b = Tensor(rng.standard_normal((3, 2)))
-    results.append(
-        CheckResult(
-            "matmul",
-            finite_difference_check(lambda x: T.reduce_sum(T.matmul(x, b)), a),
-            LOSS_TOLERANCE,
-        )
-    )
-    x = Tensor(rng.standard_normal((3, 4)))
-    results.append(
-        CheckResult(
-            "mul",
-            finite_difference_check(lambda t: T.reduce_sum(T.mul(t, t)), x),
-            LOSS_TOLERANCE,
-        )
-    )
-    results.append(
-        CheckResult(
-            "gelu",
-            finite_difference_check(lambda t: T.reduce_sum(T.gelu(t)), x),
-            LOSS_TOLERANCE,
-        )
-    )
-    w = Tensor(rng.standard_normal((3, 5)))
-    probe = rng.standard_normal((3, 5))
-    results.append(
-        CheckResult(
-            "row_logsumexp",
-            finite_difference_check(lambda t: T.reduce_sum(T.row_logsumexp(t)), w),
-            LOSS_TOLERANCE,
-        )
-    )
-    results.append(
-        CheckResult(
-            "l2_normalize_rows",
-            finite_difference_check(
-                lambda t: T.reduce_sum(T.mul(T.l2_normalize_rows(t), Tensor(probe))), w
-            ),
-            LOSS_TOLERANCE,
-        )
-    )
+    x = rng.standard_normal((3, 4))
+    w = rng.standard_normal((3, 5))
+    probe = Tensor(rng.standard_normal((3, 5)))
     gain = Tensor(rng.uniform(0.5, 1.5, size=5))
     bias = Tensor(rng.standard_normal(5))
-    results.append(
-        CheckResult(
-            "layer_norm",
-            finite_difference_check(
-                lambda t: T.reduce_sum(T.mul(T.layer_norm(t, gain, bias), Tensor(probe))),
-                w,
-            ),
-            LOSS_TOLERANCE,
-        )
-    )
     # 2 groups of 3 tokens, D = 4 split into 2 heads
-    qkv = Tensor(rng.standard_normal((6, 12)))
+    qkv = rng.standard_normal((6, 12))
     mix = Tensor(rng.standard_normal((6, 4)))
-    results.append(
-        CheckResult(
-            "attention",
-            finite_difference_check(
-                lambda t: T.reduce_sum(T.mul(T.attention(t, 2, 2), mix)), qkv
-            ),
-            LOSS_TOLERANCE,
-        )
-    )
     # parts over columns 0-3 and 4-6 whose positives are label cosines - 0.3,
     # so the cosines reach the loss along both paths
-    cos = Tensor(rng.uniform(-1.0, 1.0, size=(3, 7)))
+    cos = rng.uniform(-1.0, 1.0, size=(3, 7))
     labels = rng.integers(0, 3, size=3)
 
     def margin_lse(t):
@@ -127,10 +76,16 @@ def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
             for ids in (np.arange(4), np.arange(4, 7))
         ], 4.0))
 
-    results.append(
-        CheckResult("margin_logsumexp", finite_difference_check(margin_lse, cos), LOSS_TOLERANCE)
-    )
-    return results
+    return _results([
+        ("matmul", lambda t: T.reduce_sum(T.matmul(t, b)), a),
+        ("mul", lambda t: T.reduce_sum(T.mul(t, t)), x),
+        ("gelu", lambda t: T.reduce_sum(T.gelu(t)), x),
+        ("row_logsumexp", lambda t: T.reduce_sum(T.row_logsumexp(t)), w),
+        ("l2_normalize_rows", lambda t: T.reduce_sum(T.mul(T.l2_normalize_rows(t), probe)), w),
+        ("layer_norm", lambda t: T.reduce_sum(T.mul(T.layer_norm(t, gain, bias), probe)), w),
+        ("attention", lambda t: T.reduce_sum(T.mul(T.attention(t, 2, 2), mix)), qkv),
+        ("margin_logsumexp", margin_lse, cos),
+    ])
 
 
 def _loss_setup(rng, batch=3, dim=8, classes=6):
@@ -143,14 +98,11 @@ def _loss_setup(rng, batch=3, dim=8, classes=6):
 def check_losses(seed: int = 0) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(seed))
     feats, weights, labels = _loss_setup(rng)
-    results = []
 
     def ce(t):
         return softmax_ce_loss(T.matmul(t, Tensor(weights)), labels)
 
-    results.append(
-        CheckResult("softmax_ce/features", finite_difference_check(ce, Tensor(feats)), LOSS_TOLERANCE)
-    )
+    checks = [("softmax_ce/features", ce, feats)]
     specs = {
         "angular": MarginSpec.plain(16.0),
         "cosface": MarginSpec.cosface(64.0, 0.4),
@@ -163,20 +115,8 @@ def check_losses(seed: int = 0) -> list[CheckResult]:
         def wrt_weights(t, spec=spec):
             return unified_margin_loss(cosine_logits(Tensor(feats), t, labels), spec)
 
-        results.append(
-            CheckResult(
-                f"{name}/features",
-                finite_difference_check(wrt_features, Tensor(feats)),
-                LOSS_TOLERANCE,
-            )
-        )
-        results.append(
-            CheckResult(
-                f"{name}/weights",
-                finite_difference_check(wrt_weights, Tensor(weights)),
-                LOSS_TOLERANCE,
-            )
-        )
+        checks += [(f"{name}/features", wrt_features, feats),
+                   (f"{name}/weights", wrt_weights, weights)]
 
     protos = PrototypeBank(feats.shape[1], weights.shape[1])
     proto_rng = np.random.Generator(np.random.Philox(seed + 1))
@@ -192,29 +132,15 @@ def check_losses(seed: int = 0) -> list[CheckResult]:
         bank = ClassifierBank(weight=Tensor(weights))
         return loss_refinement(t, labels, bank, protos, 16.0, 0.4, 0.4)
 
-    results.append(
-        CheckResult(
-            "stabilization/features", finite_difference_check(stage2, Tensor(feats)), LOSS_TOLERANCE
-        )
-    )
-    results.append(
-        CheckResult(
-            "refinement/features", finite_difference_check(stage3, Tensor(feats)), LOSS_TOLERANCE
-        )
-    )
-
     def stage3_weights(t):
         bank = ClassifierBank(weight=t)
         return loss_refinement(Tensor(feats), labels, bank, protos, 16.0, 0.4, 0.4)
 
-    results.append(
-        CheckResult(
-            "refinement/weights",
-            finite_difference_check(stage3_weights, Tensor(weights)),
-            LOSS_TOLERANCE,
-        )
-    )
-    return results
+    return _results(checks + [
+        ("stabilization/features", stage2, feats),
+        ("refinement/features", stage3, feats),
+        ("refinement/weights", stage3_weights, weights),
+    ])
 
 
 def encoder_gradient_check(
@@ -227,26 +153,21 @@ def encoder_gradient_check(
 ) -> float:
     """Finite-difference check of d<probe, encode(inputs)>/d(parameters).
 
-    All encoder parameters are viewed as one flat (1, P) row: during the
-    check each parameter tensor is replaced by a reshaped column slice of
-    that row, and ``max_coords`` of its coordinates are sampled for the
-    numeric side. The encoder gets its own parameter tensors back afterwards.
+    The probe row is the encoder's flat (P,) arena: each evaluation binds the
+    encoder's parameters to the row it is given, so their gradients land in
+    the row's, and ``max_coords`` of its coordinates are sampled for the
+    numeric side. The encoder is bound back to its own arena afterwards.
     """
-    store = encoder._store._tensors
-    saved = dict(store)
-    names = [name for name, _ in encoder.params()]
-    bounds = np.cumsum([0] + [saved[n].size for n in names])
-    flat = np.concatenate([saved[n].data.reshape(-1) for n in names]).reshape(1, -1)
 
     def objective(row: Tensor) -> Tensor:
-        for name, lo, hi in zip(names, bounds[:-1], bounds[1:]):
-            store[name] = T.reshape(T.gather_cols(row, np.arange(lo, hi)), saved[name].shape)
+        row.grad = np.zeros(row.shape)
+        encoder.bind(row)
         return T.reduce_sum(T.mul(encoder.forward(inputs), Tensor(probe)))
 
     try:
-        return finite_difference_check(objective, Tensor(flat), eps, max_coords, rng)
+        return finite_difference_check(objective, encoder.arena, eps, max_coords, rng)
     finally:
-        store.update(saved)
+        encoder.bind(encoder.arena)
 
 
 def check_encoders(seed: int = 0, max_coords: int = 40) -> list[CheckResult]:

@@ -101,16 +101,45 @@ class TestTrainCommand:
         assert main(["train", "--config", sphere_train_config, "--resume", str(ckpt)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_resume_from_version_1_checkpoint_exits_one(self, tmp_path, sphere_train_config,
-                                                        capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_resume_from_old_version_checkpoint_exits_one(self, tmp_path, sphere_train_config,
+                                                          capsys, version):
         assert main(["train", "--config", sphere_train_config]) == 0
         ckpt = tmp_path / "old.lvpc"
         blob = (tmp_path / "run.lvpc").read_bytes()
-        ckpt.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+        ckpt.write_bytes(blob[:4] + version.to_bytes(4, "little") + blob[8:])
         capsys.readouterr()
         assert main(["train", "--config", sphere_train_config, "--resume", str(ckpt)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "version 1" in err
+        assert err.startswith("error: ") and f"version {version}" in err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda c: setattr(c, "prototypes", c.prototypes[:, :4]),
+        lambda c: setattr(c, "prototypes_initialized", c.prototypes_initialized[:2]),
+        lambda c: c.optimizer_arrays.update(
+            {"classifier.m": c.optimizer_arrays["classifier.m"][:, :3]}),
+        lambda c: c.optimizer_counts.pop("classifier"),
+    ], ids=["prototype-columns", "prototype-flags", "classifier-moment", "missing-count"])
+    def test_resume_from_a_checkpoint_that_does_not_fit_exits_one(
+            self, tmp_path, sphere_train_config, capsys, corrupt):
+        assert main(["train", "--config", sphere_train_config]) == 0
+        ckpt = load_checkpoint(tmp_path / "run.lvpc")
+        corrupt(ckpt)
+        bad = tmp_path / "bad.lvpc"
+        save_checkpoint(bad, ckpt)
+        capsys.readouterr()
+        assert main(["train", "--config", sphere_train_config, "--resume", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert len((tmp_path / "run.csv").read_text().splitlines()) == 61
+
+    @pytest.mark.parametrize("line", ["learning_rate = nan", "seed = inf", "max_iterations = 1e400",
+                                      "weight_decay = inf", "s = nan"])
+    def test_non_finite_config_number_exits_one(self, tmp_path, sphere_train_config, capsys,
+                                                line):
+        bad = write(tmp_path / "bad.cfg", open(sphere_train_config).read() + line + "\n")
+        assert main(["train", "--config", bad]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run.csv").exists()
 
     def test_resume_with_undeclared_parameter_exits_one(self, tmp_path, sphere_train_config,
                                                         capsys):

@@ -12,6 +12,12 @@ from spheretrain.errors import ConfigError, FileFormatError
 from spheretrain.scheduler import Phase, StageState
 
 
+FLOAT_FIELDS = ["s", "m", "m1", "m2", "r", "delta1", "delta2", "learning_rate", "lr_final",
+                "beta1", "beta2", "weight_decay", "css_beta"]
+INT_FIELDS = ["batch_size", "batch_size_late", "batch_size_switch", "seed", "max_iterations",
+              "lr_decay_iterations"]
+
+
 class TestParseKvFile:
     def test_basic_parsing(self, tmp_path):
         p = tmp_path / "cfg"
@@ -101,6 +107,25 @@ class TestTrainConfig:
     def test_from_mapping_bad_value(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_mapping({"s": "sixty-four"})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=repr(key)):
+            TrainConfig.from_mapping({key: value})
+        with pytest.raises(ConfigError, match=repr(key)):
+            TrainConfig(**{key: float(value)}).validate()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+    @pytest.mark.parametrize("key", INT_FIELDS)
+    def test_non_finite_integer_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=repr(key)):
+            TrainConfig.from_mapping({key: value})
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+    def test_get_int_names_an_overflowing_key(self, value):
+        with pytest.raises(ConfigError, match="'data_seed'"):
+            get_int({"data_seed": value}, "data_seed")
 
 
 def toy_checkpoint(seed=0):
@@ -205,13 +230,15 @@ class TestCheckpoint:
         with pytest.raises(FileFormatError):
             load_checkpoint(p)
 
-    def test_version_1_rejected_by_name(self, tmp_path):
-        # version 1 named the ViT attention parameters per head
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_rejected_by_name(self, tmp_path, version):
+        # version 1 named the ViT attention parameters per head; version 2 kept
+        # a moment pair and a step count per encoder parameter
         ckpt = toy_checkpoint(8)
-        ckpt.version = 1
+        ckpt.version = version
         p = tmp_path / "old.lvpc"
         save_checkpoint(p, ckpt)
-        with pytest.raises(FileFormatError, match="version 1"):
+        with pytest.raises(FileFormatError, match=f"version {version}"):
             load_checkpoint(p)
 
     def test_magic_literal(self, tmp_path):

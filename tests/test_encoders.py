@@ -153,9 +153,10 @@ class TestViTEncoder:
         cfg = tiny_config()
         enc = ViTEncoder(cfg)
         enc.init(rng_for(6))
-        enc._store._tensors["pos_embed"] = Tensor(
-            np.zeros((cfg.num_patches, cfg.token_dim)), requires_grad=True
-        )
+        enc.restore({
+            **{name: t.data for name, t in enc.params()},
+            "pos_embed": np.zeros((cfg.num_patches, cfg.token_dim)),
+        })
         rng = rng_for(7)
         img = rng.uniform(size=(4, 4, 1))
         patches = patchify(img, cfg)
@@ -299,13 +300,73 @@ class TestViTEncoder:
         enc = MLPEncoder(3, 4, 5)
         enc.init(rng_for(41))
         before = dict(enc.params())
+        arena = enc.arena.data.copy()
         arrays = {name: t.data + 1.0 for name, t in enc.params()}
         arrays["fc2.w"] = np.zeros((2, 2))  # the third parameter is bad
         with pytest.raises(ConfigError, match="fc2.w"):
             enc.restore(arrays)
         for name, t in enc.params():
             assert t is before[name]
+        assert enc.arena.data.tobytes() == arena.tobytes()
 
     def test_head_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             tiny_config(token_dim=10, heads=4)
+
+
+def small_vit():
+    return ViTEncoder(tiny_config())
+
+
+class TestParameterArena:
+    @pytest.mark.parametrize("make", [lambda: MLPEncoder(5, 7, 4), small_vit], ids=["mlp", "vit"])
+    def test_parameters_tile_the_arena_in_declaration_order(self, make):
+        enc = make()
+        enc.init(rng_for(50))
+        arena = enc.arena
+        assert arena.shape == (enc.num_params(),) and arena.grad.shape == arena.shape
+        offset = 0
+        for name, t in enc.params():
+            for view, flat in ((t.data, arena.data), (t.grad, arena.grad)):
+                assert view.base is flat, name
+                assert view.ctypes.data == flat.ctypes.data + 8 * offset, name
+                assert view.flags.c_contiguous and view.shape == t.shape, name
+            offset += t.size
+        assert offset == arena.size
+
+    def test_backward_accumulates_into_the_arena_gradient(self):
+        enc = MLPEncoder(5, 7, 4)
+        enc.init(rng_for(51), weight_std=0.3)
+        assert not enc.arena.grad.any()
+        T.reduce_sum(enc.forward(rng_for(52).standard_normal((3, 5)))).backward()
+        flat = np.concatenate([t.grad.reshape(-1) for _, t in enc.params()])
+        assert flat.tobytes() == enc.arena.grad.tobytes() and enc.arena.grad.any()
+
+    def test_init_and_restore_clear_the_gradient(self):
+        enc = MLPEncoder(5, 7, 4)
+        enc.arena.grad[:] = 1.0
+        enc.init(rng_for(53))
+        assert not enc.arena.grad.any()
+        enc.arena.grad[:] = 1.0
+        enc.restore({name: t.data.copy() for name, t in enc.params()})
+        assert not enc.arena.grad.any()
+
+    def test_bind_moves_the_views_and_back(self):
+        enc = MLPEncoder(5, 7, 4)
+        enc.init(rng_for(54))
+        inputs = rng_for(55).standard_normal((3, 5))
+        before = enc.forward(inputs).data
+        row = Tensor(enc.arena.data * 2.0)
+        row.grad = np.zeros(row.shape)
+        enc.bind(row)
+        assert dict(enc.params())["fc1.w"].data.base is row.data
+        assert enc.forward(inputs).data.tobytes() != before.tobytes()
+        enc.bind(enc.arena)
+        assert enc.forward(inputs).data.tobytes() == before.tobytes()
+
+    def test_bind_rejects_a_row_of_another_size(self):
+        enc = MLPEncoder(5, 7, 4)
+        row = Tensor(np.zeros(enc.num_params() + 1))
+        row.grad = np.zeros(row.shape)
+        with pytest.raises(ShapeError):
+            enc.bind(row)

@@ -433,7 +433,10 @@ class TestTrainLoop:
     @pytest.mark.parametrize("poisoned", ["classifier", "encoder"])
     def test_non_finite_gradient_moves_no_parameter(
             self, tmp_path, monkeypatch, thresholds, poisoned):
-        # one gradient of the 5th iteration turns NaN after backward
+        # one gradient of the 5th iteration turns NaN after backward; the error
+        # names the parameter, and for the encoder the index inside it
+        expected = ("'classifier" if poisoned == "classifier"
+                    else r"'encoder\.fc2\.b' at index \(0,\)")
         ds = sphere_fixture(11)
         cfg = quick_config(seed=21, max_iterations=12, **thresholds)
         _, full_rows = train(cfg, ds, fresh_encoder())
@@ -456,7 +459,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(Tensor, "backward", poison_the_5th)
         ckpt_path = tmp_path / "abort.lvpc"
-        with pytest.raises(NumericError, match=f"'{poisoned}"):
+        with pytest.raises(NumericError, match=expected):
             train(cfg, ds, enc, checkpoint_path=ckpt_path)
         monkeypatch.setattr(Tensor, "backward", backward)
         saved = load_checkpoint(ckpt_path)
@@ -469,6 +472,25 @@ class TestTrainLoop:
         assert saved.classifier.tobytes() == boundary.classifier.tobytes()
         _, resumed_rows = train(cfg, ds, fresh_encoder(), resume=saved)
         assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[4:]]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda c: setattr(c, "classifier", c.classifier[:-1]),
+        lambda c: setattr(c, "prototypes", c.prototypes[:, :2]),
+        lambda c: setattr(c, "prototypes_initialized", c.prototypes_initialized[:2]),
+        lambda c: c.optimizer_arrays.update(
+            {"classifier.m": c.optimizer_arrays["classifier.m"][:, :3]}),
+        lambda c: c.optimizer_arrays.update({"encoder.v": c.optimizer_arrays["encoder.v"][:-1]}),
+        lambda c: c.optimizer_counts.pop("classifier"),
+        lambda c: c.optimizer_arrays.pop("encoder.m"),
+        lambda c: c.optimizer_counts.update({"head": 3}),
+    ], ids=["classifier-rows", "prototype-columns", "prototype-flags", "classifier-moment",
+            "encoder-moment", "missing-count", "missing-moment", "stray-count"])
+    def test_resume_state_that_does_not_fit_the_model_rejected(self, corrupt):
+        ds = sphere_fixture(12)
+        ckpt, _ = train(quick_config(seed=23, max_iterations=10), ds, fresh_encoder())
+        corrupt(ckpt)
+        with pytest.raises(ConfigError):
+            train(quick_config(seed=23, max_iterations=20), ds, fresh_encoder(), resume=ckpt)
 
     def test_resume_arch_mismatch_rejected(self, tmp_path):
         ds = sphere_fixture(12)

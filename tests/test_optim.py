@@ -319,3 +319,46 @@ class TestBlockStep:
         opt = AdamW()
         opt.step("p", np.ones((2, 2)), np.full((2, 2), 1e308), lr=0.1)
         assert opt.step_counts["p"] == 1 and np.isfinite(opt.moments["p"][0]).all()
+
+
+class TestFlatStep:
+    """One step over parameters laid end to end, as an encoder's arena is,
+    against one step per parameter."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shapes=st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+                        min_size=1, max_size=6),
+        steps=st.integers(1, 4),
+        weight_decay=st.sampled_from([0.0, 0.05]),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_step_equals_per_parameter_steps(self, shapes, steps, weight_decay,
+                                                  zero_share, seed):
+        rng = rng_for(seed)
+        params = [rng.standard_normal(shape) for shape in shapes]
+        flat = np.concatenate([p.reshape(-1) for p in params])
+        per_name, whole = AdamW(), AdamW()
+        for t in range(steps):
+            grads = []
+            for shape in shapes:
+                g = rng.standard_normal(shape)
+                zeroed = rng.random(shape) < zero_share
+                g[zeroed] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeroed]
+                grads.append(g)
+            lr = 1e-3 / (t + 1)
+            for i, (p, g) in enumerate(zip(params, grads)):  # the oracle: one step per name
+                per_name.step(f"p{i}", p, g, lr, weight_decay)
+            whole.step("arena", flat, np.concatenate([g.reshape(-1) for g in grads]), lr,
+                       weight_decay)
+
+        def joined(arrays):
+            return np.concatenate([a.reshape(-1) for a in arrays]).tobytes()
+
+        assert flat.tobytes() == joined(params)
+        for k in range(2):
+            assert whole.moments["arena"][k].tobytes() == joined(
+                [per_name.moments[f"p{i}"][k] for i in range(len(shapes))])
+        assert whole.step_counts == {"arena": steps}
+        assert set(per_name.step_counts.values()) == {steps}

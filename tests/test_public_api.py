@@ -67,3 +67,40 @@ def test_every_tensor_op_is_used_outside_the_gradient_checks():
             used.update(_tensor_uses(ast.parse(path.read_text())))
     assert GRADCHECK_ONLY <= ops and not GRADCHECK_ONLY & used
     assert sorted(ops - used - GRADCHECK_ONLY) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined_private_names(tree):
+    """Private names a module defines (functions, methods, classes) or
+    assigns (variables and attributes)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            name = node.attr
+        else:
+            continue
+        if _private(name):
+            yield name
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # ``x._name`` with x not ``self`` or ``cls`` reaches into whatever object
+    # x is; when another module defines ``_name`` it is that module's internals.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {name: set(_defined_private_names(tree)) for name, tree in trees.items()}
+    reads = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in defined.items() if other != module))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            receiver = node.value.id if isinstance(node.value, ast.Name) else None
+            if node.attr in elsewhere and receiver not in ("self", "cls"):
+                reads.append(f"{module}:{node.lineno} {ast.unparse(node)}")
+    assert reads == []
