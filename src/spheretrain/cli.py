@@ -23,7 +23,7 @@ from .data import (
     gen_image_dataset,
     gen_sphere_dataset,
 )
-from .encoders import MLPEncoder, ViTConfig, ViTEncoder, build_encoder
+from .encoders import build_encoder
 from .engine import embed_dataset, train
 from .errors import ConfigError, NumericError, SphereTrainError
 from .evaluate import angular_projection, make_pairs, verification_report
@@ -100,31 +100,25 @@ def build_dataset(mapping: dict[str, str], default_seed: int) -> tuple[Dataset, 
 
 
 def build_encoder_from_mapping(mapping: dict[str, str], dataset: Dataset):
+    """The encoder the config keys describe, sized to the dataset's inputs."""
     kind = get_str(mapping, "encoder")
     if kind == "mlp":
         if dataset.inputs.ndim != 2:
             raise ConfigError("the mlp encoder needs vector inputs (sphere or embedding data)")
-        return MLPEncoder(
-            input_dim=dataset.inputs.shape[1],
-            hidden_dim=get_int(mapping, "mlp_hidden", 64),
-            embed_dim=get_int(mapping, "embed_dim", 32),
-        )
-    if kind == "vit":
+        arch = {"input_dim": dataset.inputs.shape[1],
+                "hidden_dim": get_int(mapping, "mlp_hidden", 64)}
+    elif kind == "vit":
         if dataset.inputs.ndim != 4:
             raise ConfigError("the vit encoder needs image inputs")
-        cfg = ViTConfig(
-            image_width=dataset.inputs.shape[1],
-            patch_stride=get_int(mapping, "patch_stride"),
-            token_dim=get_int(mapping, "token_dim"),
-            layers=get_int(mapping, "layers"),
-            heads=get_int(mapping, "heads"),
-            embed_dim=get_int(mapping, "embed_dim", 32),
-            channels=dataset.inputs.shape[3],
-            ffn_hidden=get_int(mapping, "ffn_hidden", 0) or None,
-            head_hidden=get_int(mapping, "head_hidden", 0) or None,
-        )
-        return ViTEncoder(cfg)
-    raise ConfigError(f"unknown encoder kind {kind!r}; pick mlp or vit")
+        arch = {key: get_int(mapping, key)
+                for key in ("patch_stride", "token_dim", "layers", "heads")}
+        arch.update(image_width=dataset.inputs.shape[1], channels=dataset.inputs.shape[3])
+        for key in ("ffn_hidden", "head_hidden"):
+            if get_int(mapping, key, 0):  # 0 or absent: the default width
+                arch[key] = get_int(mapping, key)
+    else:
+        raise ConfigError(f"unknown encoder kind {kind!r}; pick mlp or vit")
+    return build_encoder({"kind": kind, "embed_dim": get_int(mapping, "embed_dim", 32), **arch})
 
 
 def _cmd_train(args) -> int:
@@ -224,6 +218,10 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     mapping = parse_kv_file(args.spec)
+    caps = {key: get_int(mapping, f"pairs_{key}", 0) for key in ("genuine", "impostor")}
+    for key, cap in caps.items():
+        if cap < 0:
+            raise ConfigError(f"'pairs_{key}' must be nonnegative, got {cap}")
     dataset, _ = build_dataset(mapping, get_int(mapping, "data_seed", 0))
     if dataset.inputs.ndim == 2:
         write_embeddings(args.out, dataset.inputs, dataset.labels)
@@ -235,12 +233,8 @@ def _cmd_gen_data(args) -> int:
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([get_int(mapping, "data_seed", 0), 7]))
         )
-        pairs = make_pairs(
-            dataset.labels,
-            rng,
-            max_genuine=get_int(mapping, "pairs_genuine", 0) or None,
-            max_impostor=get_int(mapping, "pairs_impostor", 0) or None,
-        )
+        pairs = make_pairs(dataset.labels, rng, max_genuine=caps["genuine"] or None,
+                           max_impostor=caps["impostor"] or None)
         write_pairs(pairs_out, pairs)
         print(f"wrote {len(pairs)} verification pairs to {pairs_out}")
     return 0

@@ -10,7 +10,8 @@ parallelized without changing the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +47,7 @@ class SphereClusterSpec:
     distribution: str = "vmf"  # or "gaussian": normalize(mean + z/sqrt(kappa))
 
     def __post_init__(self):
+        _check_spec(self, ("samples_per_class",))
         if self.num_classes < 2:
             raise DomainError("need at least two identities")
         if self.dim < 2:
@@ -68,12 +70,23 @@ class ImageClassSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_spec(self, ("num_classes", "image_width", "samples_per_class", "channels"))
         if self.noise_amplitude < 0:
             raise DomainError("noise amplitude must be nonnegative")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise DomainError("eval fraction must lie in [0, 1)")
         if self.jitter < 0:
             raise DomainError("jitter must be nonnegative")
+
+
+def _check_spec(spec, counts: tuple[str, ...]) -> None:
+    """Reject a non-finite float field, and any of ``counts`` below 1."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
+        if f.name in counts and value < 1:
+            raise DomainError(f"{f.name} must be at least 1, got {value}")
 
 
 def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
@@ -90,6 +103,8 @@ def _radial_components(kappa: float, dim: int, n: int, rng: np.random.Generator)
     d = dim - 1
     b = d / (np.sqrt(4.0 * kappa * kappa + d * d) + 2.0 * kappa)
     x0 = (1.0 - b) / (1.0 + b)
+    if not x0 < 1.0:  # then c is not finite (log 0), and no draw would ever be accepted
+        raise DomainError(f"cannot sample concentration {kappa} in dimension {dim}")
     c = kappa * x0 + d * np.log(1.0 - x0 * x0)
     out = np.empty(n)
     filled = 0

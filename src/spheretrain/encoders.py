@@ -17,7 +17,7 @@ gradient check perturbs every parameter through one probe row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,10 @@ class ViTConfig:
     head_hidden: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):  # sizes first: the checks below divide by them
+            value = getattr(self, f.name)
+            if value is not None and value < 1:
+                raise ConfigError(f"ViT {f.name} must be at least 1, got {value}")
         if self.image_width % self.patch_stride != 0:
             raise ConfigError(
                 f"image width {self.image_width} not divisible by stride {self.patch_stride}"
@@ -49,8 +53,6 @@ class ViTConfig:
             raise ConfigError(
                 f"token dim {self.token_dim} not divisible by {self.heads} heads"
             )
-        if min(self.layers, self.embed_dim, self.channels) < 1:
-            raise ConfigError("layers, embed_dim and channels must be positive")
 
     @property
     def grid(self) -> int:
@@ -338,27 +340,28 @@ class ViTEncoder(_Encoder):
         return {"kind": "vit", **self.config.to_mapping()}
 
 
-def build_encoder(arch: dict):
-    """Reconstruct an encoder from its ``describe()`` mapping."""
+def build_encoder(arch) -> MLPEncoder | ViTEncoder:
+    """Build an encoder from an architecture mapping: a ``describe()`` result,
+    or what the command line makes of its config keys. Every field is an
+    integer; the ViT fields that have a default may be left out."""
+    if not isinstance(arch, dict):
+        raise ConfigError(f"encoder architecture must be a mapping, got {type(arch).__name__}")
     kind = arch.get("kind")
     if kind == "mlp":
-        return MLPEncoder(
-            input_dim=int(arch["input_dim"]),
-            hidden_dim=int(arch["hidden_dim"]),
-            embed_dim=int(arch["embed_dim"]),
-        )
+        return MLPEncoder(**_int_fields(arch, ("input_dim", "hidden_dim", "embed_dim")))
     if kind == "vit":
-        return ViTEncoder(
-            ViTConfig(
-                image_width=int(arch["image_width"]),
-                patch_stride=int(arch["patch_stride"]),
-                token_dim=int(arch["token_dim"]),
-                layers=int(arch["layers"]),
-                heads=int(arch["heads"]),
-                embed_dim=int(arch["embed_dim"]),
-                channels=int(arch["channels"]),
-                ffn_hidden=int(arch["ffn_hidden"]),
-                head_hidden=int(arch["head_hidden"]),
-            )
-        )
+        names = [f.name for f in fields(ViTConfig) if f.default is MISSING or f.name in arch]
+        return ViTEncoder(ViTConfig(**_int_fields(arch, names)))
     raise ConfigError(f"unknown encoder kind {kind!r}")
+
+
+def _int_fields(arch: dict, names) -> dict[str, int]:
+    out = {}
+    for name in names:
+        if name not in arch:
+            raise ConfigError(f"encoder architecture is missing {name!r}")
+        value = arch[name]
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"encoder {name!r} must be an integer, got {value!r}")
+        out[name] = int(value)
+    return out

@@ -10,6 +10,13 @@ The moments share the parameter's memory order. When the parameter changes
 order (the classifier does between sampled and dense steps), or moments are
 restored in another order, they are re-laid out on the next step.
 
+One in-place kernel, ``_update``, serves every step: it runs on equal-shaped
+blocks of ``m``, ``v``, the parameter and the gradient, at most
+``_CHUNK_ENTRIES`` entries at a time so its passes stay in cache. A dense
+step (``columns=None``) runs it on consecutive slices of their flat
+memory-order views, so nothing is gathered or scattered back. The update is
+elementwise, so the chunking does not change a bit.
+
 A step may be restricted to a column subset (``columns``). Then only those
 columns are checked for finite values, and the moments, the decay and the
 parameter are untouched outside them; that is what keeps unselected
@@ -17,13 +24,11 @@ classifier columns bit-identical through an iteration. The gradient is
 either the full (d, C) one, of which only the selected columns are read, or
 just the (d, |columns|) block of those columns. A sampled training step
 passes the block: its loss is taken on a gathered block of the classifier,
-so no (d, C) gradient exists. The selected columns of ``m``, ``v`` and
-``param`` are each gathered once, updated in place with the dense step's
-operations in its order (so the bits are the dense step's), optionally
-projected (the classifier's columns back to unit norm), and scattered back
-once, a chunk of columns at a time so the work stays in cache. No temporary
-spans all C columns; on a column-major parameter a column is d contiguous
-values, so the step costs O(d * |columns|), whatever C is.
+so no (d, C) gradient exists. Each chunk of the selected columns of ``m``,
+``v`` and ``param`` is gathered once, stepped, optionally projected (the
+classifier's columns back to unit norm) and scattered back once. No
+temporary spans all C columns; on a column-major parameter a column is d
+contiguous values, so the step costs O(d * |columns|), whatever C is.
 
 ``check_finite`` is the step's own finite check, exposed so that a caller
 stepping several parameters can check every gradient before any of them
@@ -41,7 +46,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 ADAM_EPS = 1e-8
-# Entries per chunk of a column-restricted step (128 KB of float64 per block).
+# Entries per chunk of a step (128 KB of float64 per block).
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -93,10 +98,11 @@ class AdamW:
         parameter. ``grad`` is then either the full gradient, of the
         parameter's shape (a gradient of that shape is always read so), or
         the (d, len(columns)) block whose column j belongs to parameter
-        column ``columns[j]``. ``project``, if given,
-        rewrites the stepped values in place (the stepped columns, or the
-        whole parameter) before they are stored. A non-finite gradient raises
-        ``NumericError`` with its index before anything moves.
+        column ``columns[j]``. ``project``, if given, rewrites the stepped
+        values in place (the stepped columns, or the whole parameter) before
+        they are stored. A dense step needs a parameter contiguous in C or F
+        order. A non-finite gradient raises ``NumericError`` with its index
+        before anything moves.
         """
         grad = np.asarray(grad, dtype=np.float64)
         idx = None if columns is None else np.asarray(columns, dtype=np.int64)
@@ -105,6 +111,8 @@ class AdamW:
             raise ShapeError(
                 f"gradient shape {grad.shape} does not match parameter {param.shape} ({name})"
             )
+        if idx is None and not (param.flags.c_contiguous or param.flags.f_contiguous):
+            raise ShapeError(f"parameter {name!r} is contiguous in neither memory order")
         g = grad if idx is None or block else grad[:, idx]
         self.check_finite(name, g, idx)
         if name not in self.moments:
@@ -115,55 +123,45 @@ class AdamW:
             m, v = self.moments[name] = (_laid_out_like(param, m), _laid_out_like(param, v))
         self.step_counts[name] += 1
         t = self.step_counts[name]
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-
-        if idx is None:
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if weight_decay:
-                update = update + weight_decay * param
-            param -= lr * update
-            if project is not None:
-                project(param)
+        coef = (lr, weight_decay, 1.0 - self.beta1**t, 1.0 - self.beta2**t)
+        if idx is not None:
+            width = max(1, _CHUNK_ENTRIES // max(1, param.shape[0]))
+            for lo in range(0, idx.size, width):
+                cols = idx[lo : lo + width]
+                m_sel, v_sel, p_sel = m[:, cols], v[:, cols], param[:, cols]
+                self._update(m_sel, v_sel, p_sel, g[:, lo : lo + width], *coef)
+                m[:, cols], v[:, cols] = m_sel, v_sel
+                if project is not None:
+                    project(p_sel)
+                param[:, cols] = p_sel
             return
-        # The selected columns go through in chunks small enough for the
-        # dozen passes over each to stay in cache.
-        width = max(1, _CHUNK_ENTRIES // max(1, param.shape[0]))
-        for lo in range(0, idx.size, width):
-            cols = idx[lo : lo + width]
-            self._step_columns(m, v, param, g[:, lo : lo + width], cols, lr, weight_decay,
-                               bc1, bc2, project)
+        if g.strides != param.strides:
+            g = _laid_out_like(param, g)
+        flat = [np.ravel(a, order="K") for a in (m, v, param, g)]  # all contiguous: views
+        for lo in range(0, param.size, _CHUNK_ENTRIES):
+            self._update(*(a[lo : lo + _CHUNK_ENTRIES] for a in flat), *coef)
+        if project is not None:
+            project(param)
 
-    def _step_columns(self, m, v, param, g, idx, lr, weight_decay, bc1, bc2, project) -> None:
-        """The dense step's operations, in its order, on the columns ``idx``:
-        each of m, v and param is gathered once and scattered once."""
-        m_sel, v_sel, p_sel = m[:, idx], v[:, idx], param[:, idx]
+    def _update(self, m, v, p, g, lr, weight_decay, bc1, bc2) -> None:
+        """Step the equal-shaped blocks ``m``, ``v`` and ``p`` by ``g`` in place."""
         tmp = np.multiply(g, 1.0 - self.beta1)
-        m_sel *= self.beta1
-        m_sel += tmp
+        m *= self.beta1
+        m += tmp
         np.multiply(g, 1.0 - self.beta2, out=tmp)
         tmp *= g
-        v_sel *= self.beta2
-        v_sel += tmp
-        m[:, idx] = m_sel
-        v[:, idx] = v_sel
-        v_sel /= bc2  # the stored moments are final; the blocks become the update
-        np.sqrt(v_sel, out=v_sel)
-        v_sel += self.eps
-        m_sel /= bc1
-        m_sel /= v_sel
+        v *= self.beta2
+        v += tmp
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(m, bc1, out=tmp)
+        tmp /= denom
         if weight_decay:
-            np.multiply(p_sel, weight_decay, out=tmp)
-            m_sel += tmp
-        m_sel *= lr
-        p_sel -= m_sel
-        if project is not None:
-            project(p_sel)
-        param[:, idx] = p_sel
+            np.multiply(p, weight_decay, out=denom)
+            tmp += denom
+        tmp *= lr
+        p -= tmp
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Flat name -> array view of all moment accumulators, for checkpoints."""

@@ -42,8 +42,8 @@ class PrototypeBank:
     def num_classes(self) -> int:
         return self.E.shape[1]
 
-    def update(self, class_id: int, x: np.ndarray) -> np.ndarray:
-        """Fold one unit feature into the class prototype; returns the new column.
+    def update(self, class_id: int, x: np.ndarray) -> None:
+        """Fold one unit feature into the class prototype.
 
         First sight of a class copies the feature verbatim. Otherwise
         e <- e + (1 - alpha) * (x - e), re-normalized; written in delta form
@@ -59,7 +59,7 @@ class PrototypeBank:
         if not self.initialized[class_id]:
             self.E[:, class_id] = x
             self.initialized[class_id] = True
-            return self.E[:, class_id].copy()
+            return
         e = self.E[:, class_id]
         delta = x - e
         if delta.any():
@@ -67,7 +67,6 @@ class PrototypeBank:
             e = e + (1.0 - alpha) * delta
             e /= np.linalg.norm(e)
             self.E[:, class_id] = e
-        return self.E[:, class_id].copy()
 
     def batch_update(self, labels, features: np.ndarray) -> None:
         """Apply ``update`` sample by sample in within-batch order.

@@ -22,13 +22,6 @@ class Phase(enum.Enum):
     STABILIZATION = "stabilization"
     REFINEMENT = "refinement"
 
-    @property
-    def index(self) -> int:
-        return _PHASE_ORDER.index(self)
-
-
-_PHASE_ORDER = (Phase.ALIGNMENT, Phase.STABILIZATION, Phase.REFINEMENT)
-
 
 @dataclass
 class StageState:

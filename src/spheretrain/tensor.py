@@ -92,36 +92,9 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar; scalars are accepted on either side.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -483,21 +456,18 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    data = a.data.sum(axis=axis)
+def reduce_sum(a: Tensor) -> Tensor:
+    """The sum of every entry, a scalar."""
+    data = a.data.sum()
 
     def backward(g: Array) -> None:
-        if axis is None:
-            _accumulate(a, np.full_like(a.data, float(g)))
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+        _accumulate(a, np.full_like(a.data, float(g)))
 
     return _make(np.asarray(data, dtype=np.float64), (a,), backward)
 
 
-def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    return scale(reduce_sum(a, axis=axis), 1.0 / count)
+def reduce_mean(a: Tensor) -> Tensor:
+    return scale(reduce_sum(a), 1.0 / a.data.size)
 
 
 def gather_cols(a: Tensor, ids) -> Tensor:

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spheretrain
 from spheretrain.checkpoint import load_checkpoint, save_checkpoint
 from spheretrain.cli import main
 from spheretrain.evaluate import make_pairs
@@ -65,6 +70,26 @@ pairs_out = {tmp_path}/pairs.csv
 pairs_impostor = 400
 """,
     )
+
+
+VIT_ARCH = {"kind": "vit", "image_width": 8, "patch_stride": 4, "token_dim": 8, "layers": 1,
+            "heads": 2, "embed_dim": 12, "channels": 1, "ffn_hidden": 16, "head_hidden": 12}
+
+VIT_TRAIN_CONFIG = """
+dataset = images
+num_classes = 3
+image_width = 8
+samples_per_class = 4
+encoder = vit
+patch_stride = 4
+token_dim = 8
+layers = 1
+heads = 2
+max_iterations = 2
+batch_size = 4
+log_path = {tmp}/run.csv
+checkpoint_path = {tmp}/run.lvpc
+"""
 
 
 class TestTrainCommand:
@@ -153,6 +178,53 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'fc0.w'" in err
 
+    @pytest.mark.parametrize("command", ["export", "resume"])
+    @pytest.mark.parametrize("defect, field", [
+        (lambda a: {k: v for k, v in a.items() if k != "hidden_dim"}, "'hidden_dim'"),
+        (lambda a: {**a, "hidden_dim": "wide"}, "'hidden_dim'"),
+        (lambda a: {**a, "hidden_dim": 2.5}, "'hidden_dim'"),
+        (lambda a: {**a, "embed_dim": None}, "'embed_dim'"),
+        (lambda a: [a["kind"], a["input_dim"]], "mapping"),
+        (lambda a: {**VIT_ARCH, "patch_stride": 0}, "patch_stride"),
+        (lambda a: {**VIT_ARCH, "heads": 0}, "heads"),
+    ], ids=["missing", "text", "fraction", "null", "list", "zero-stride", "zero-heads"])
+    def test_malformed_checkpoint_architecture_exits_one(
+            self, tmp_path, sphere_train_config, sphere_data_spec, capsys, command, defect,
+            field):
+        assert main(["train", "--config", sphere_train_config]) == 0
+        ckpt = load_checkpoint(tmp_path / "run.lvpc")
+        ckpt.encoder_arch = defect(ckpt.encoder_arch)
+        bad = tmp_path / "bad.lvpc"
+        save_checkpoint(bad, ckpt)
+        capsys.readouterr()
+        if command == "export":
+            argv = ["export", "--ckpt", str(bad), "--data", sphere_data_spec,
+                    "--out", str(tmp_path / "emb.lvem")]
+        else:
+            argv = ["train", "--config", sphere_train_config, "--resume", str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "emb.lvem").exists()
+        assert len((tmp_path / "run.csv").read_text().splitlines()) == 61
+
+    @pytest.mark.parametrize("line, field", [("patch_stride = 0", "patch_stride"),
+                                             ("heads = 0", "heads"),
+                                             ("ffn_hidden = -3", "ffn_hidden")])
+    def test_vit_size_below_one_exits_one(self, tmp_path, capsys, line, field):
+        cfg = write(tmp_path / "vit.cfg", VIT_TRAIN_CONFIG.format(tmp=tmp_path) + line + "\n")
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_vit_train_config_builds_the_described_encoder(self, tmp_path):
+        cfg = write(tmp_path / "vit.cfg", VIT_TRAIN_CONFIG.format(tmp=tmp_path) + "head_hidden = 6\n")
+        assert main(["train", "--config", cfg]) == 0
+        assert load_checkpoint(tmp_path / "run.lvpc").encoder_arch == {
+            "kind": "vit", "image_width": 8, "patch_stride": 4, "token_dim": 8, "layers": 1,
+            "heads": 2, "embed_dim": 32, "channels": 1, "ffn_hidden": 32, "head_hidden": 6}
+
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.cfg")]) == 1
 
@@ -204,6 +276,35 @@ class TestDataAndEvalCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "embedding row 3 " in captured.err
+
+    @pytest.mark.parametrize("spec", [
+        "dataset = sphere\nnum_classes = 3\ndim = 8\nsamples_per_class = 2\nkappa = nan\n",
+        "dataset = sphere\nnum_classes = 3\ndim = 8\nsamples_per_class = 2\nkappa = inf\n",
+        "dataset = sphere\nnum_classes = 3\ndim = 8\nsamples_per_class = 2\nkappa = 1e17\n",
+        "dataset = sphere\nnum_classes = 3\ndim = 8\nkappa = 10\nsamples_per_class = -1\n",
+        "dataset = sphere\nnum_classes = 3\ndim = 8\nkappa = 10\nsamples_per_class = 0\n",
+        "dataset = sphere\nnum_classes = 3\ndim = 8\nkappa = 10\nsamples_per_class = 2\n"
+        "pairs_out = {tmp}/pairs.csv\npairs_genuine = -5\n",
+        "dataset = images\nnum_classes = 2\nimage_width = 8\nsamples_per_class = -1\n",
+        "dataset = images\nnum_classes = 2\nimage_width = 8\nsamples_per_class = 0\n",
+        "dataset = images\nnum_classes = 2\nimage_width = 0\nsamples_per_class = 2\n",
+        "dataset = images\nnum_classes = 2\nimage_width = 8\nsamples_per_class = 2\n"
+        "noise = nan\n",
+    ], ids=["kappa-nan", "kappa-inf", "kappa-1e17", "sphere-negative-count",
+            "sphere-zero-count", "negative-pair-cap", "images-negative-count",
+            "images-zero-count", "zero-width", "noise-nan"])
+    def test_gen_data_rejects_what_cannot_be_generated(self, tmp_path, spec):
+        # A subprocess with a timeout, so that a spec that never finishes
+        # fails this test instead of blocking the suite.
+        path = write(tmp_path / "bad.cfg", spec.format(tmp=tmp_path))
+        env = {**os.environ, "PYTHONPATH": str(Path(spheretrain.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "spheretrain", "gen-data", "--spec", path,
+             "--out", str(tmp_path / "d.bin")],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        assert not (tmp_path / "d.bin").exists() and not (tmp_path / "pairs.csv").exists()
 
     def test_gen_data_images(self, tmp_path):
         spec = write(

@@ -197,6 +197,29 @@ def test_restricted_step_allocation_does_not_grow_with_classes():
     assert abs(large - small) < 0.01 * small, f"peak {large} bytes at C = 100k vs {small} at 10k"
 
 
+def dense_step_peak_blocks(shape, project=None):
+    """Peak traced allocation of one dense step once the moments exist, in
+    parameter-sized blocks."""
+    rng = rng_for(12)
+    p = rng.uniform(-1.0, 1.0, size=shape)
+    opt = AdamW()
+    opt.step("p", p, rng.standard_normal(shape), lr=1e-3, weight_decay=0.1, project=project)
+    g = rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        opt.step("p", p, g, lr=1e-3, weight_decay=0.1, project=project)
+        return tracemalloc.get_traced_memory()[1] / p.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_step_allocates_no_parameter_sized_temporaries():
+    # The update itself runs through chunk-sized temporaries; what is left
+    # is the projection's column norms (one block for the squares).
+    assert dense_step_peak_blocks((32, 10_000), project=unit_columns) <= 1.5
+    assert dense_step_peak_blocks((100_000,)) <= 0.5
+
+
 def reference_column_step(moments, p, grad, idx, t, lr, weight_decay, beta1=0.9, beta2=0.999):
     """The column-restricted step and re-normalization written out plainly:
     read the selected columns out of a full gradient, write every result
@@ -217,8 +240,9 @@ def reference_column_step(moments, p, grad, idx, t, lr, weight_decay, beta1=0.9,
     p[:, idx] = block / np.linalg.norm(block, axis=0, keepdims=True)
 
 
-def reference_dense_step(moments, p, grad, t, lr, weight_decay, beta1=0.9, beta2=0.999):
-    """The dense step, then ``renormalize_columns()`` of every column."""
+def reference_dense_step(moments, p, grad, t, lr, weight_decay, beta1=0.9, beta2=0.999,
+                         project=True):
+    """The dense step, then (``project``) ``renormalize_columns()`` of every column."""
     m, v = moments
     m *= beta1
     m += (1.0 - beta1) * grad
@@ -228,7 +252,8 @@ def reference_dense_step(moments, p, grad, t, lr, weight_decay, beta1=0.9, beta2
     if weight_decay:
         update = update + weight_decay * p
     p -= lr * update
-    p /= np.linalg.norm(p, axis=0, keepdims=True)
+    if project:
+        p /= np.linalg.norm(p, axis=0, keepdims=True)
 
 
 class TestBlockStep:
@@ -300,6 +325,49 @@ class TestBlockStep:
             assert bank.weight.data.tobytes() == ref.tobytes()
             assert [a.tobytes() for a in opt.moments["classifier"]] == [
                 a.tobytes() for a in ref_moments]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.sampled_from([(1,), (2,), (37,), (200,), (1, 5), (5, 1), (3, 7), (9, 40)]),
+        steps=st.integers(1, 4),
+        weight_decay=st.sampled_from([0.0, 0.05]),
+        param_order=st.sampled_from("CF"),
+        grad_order=st.sampled_from(["same", "opposite"]),
+        chunk=st.sampled_from([1 << 14, 1, 7, 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_step_matches_the_oracle_in_any_layout(
+            self, shape, steps, weight_decay, param_order, grad_order, chunk, seed):
+        # 1-D parameters (an encoder arena) and gradients in the memory order
+        # opposite to the parameter's; 2-D ones are projected, as the
+        # refinement classifier is
+        rng = rng_for(seed)
+        project = len(shape) == 2
+        other = {"C": "F", "F": "C"}[param_order]
+        w = np.array(rng.uniform(-1.0, 1.0, size=shape), order=param_order)
+        ref = w.copy(order=param_order)
+        ref_moments = (np.zeros_like(ref), np.zeros_like(ref))
+        opt = AdamW()
+        with mock.patch.object(optim, "_CHUNK_ENTRIES", chunk):
+            for t in range(1, steps + 1):
+                grad = np.array(rng.standard_normal(shape),
+                                order=param_order if grad_order == "same" else other)
+                reference_dense_step(ref_moments, ref, grad, t, 1e-2, weight_decay,
+                                     project=project)
+                opt.step("p", w, grad, 1e-2, weight_decay,
+                         project=unit_columns if project else None)
+                assert w.tobytes() == ref.tobytes()
+                assert [a.tobytes() for a in opt.moments["p"]] == [
+                    a.tobytes() for a in ref_moments]
+
+    def test_parameter_contiguous_in_neither_order_rejected(self):
+        base = rng_for(11).standard_normal((6, 8))
+        p = base[::2, ::2]  # a strided view: ravel would update a copy
+        before = base.tobytes()
+        opt = AdamW()
+        with pytest.raises(ShapeError, match="contiguous"):
+            opt.step("p", p, np.ones(p.shape), lr=0.1)
+        assert base.tobytes() == before and "p" not in opt.step_counts
 
     def test_block_of_the_wrong_width_rejected(self):
         with pytest.raises(ShapeError):

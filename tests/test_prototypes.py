@@ -50,8 +50,8 @@ class TestUpdate:
         # e=[1,0], x=[0,1]: alpha = logistic(0) = 0.5, pre-norm [0.5, 0.5]
         bank = PrototypeBank(2, 1)
         bank.update(0, np.array([1.0, 0.0]))
-        new = bank.update(0, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(new, [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-15)
+        bank.update(0, np.array([0.0, 1.0]))
+        np.testing.assert_allclose(bank.E[:, 0], [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-15)
 
     def test_unit_norm_after_random_sequences(self):
         rng = rng_for(0)

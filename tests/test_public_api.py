@@ -104,3 +104,20 @@ def test_no_module_reads_another_modules_private_attributes():
             if node.attr in elsewhere and receiver not in ("self", "cls"):
                 reads.append(f"{module}:{node.lineno} {ast.unparse(node)}")
     assert reads == []
+
+
+# Python's binary, reflected, in-place and unary arithmetic hooks.
+ARITHMETIC_METHODS = {
+    f"__{prefix}{op}__"
+    for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+               "lshift", "rshift", "and", "xor", "or")
+    for prefix in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+
+def test_tensor_defines_no_arithmetic_operators():
+    # Graph nodes are built only by named ``tensor`` ops, which are the ones
+    # the benchmark's tracer counts; ``a + b`` would build one it cannot see.
+    from spheretrain.tensor import Tensor
+
+    assert sorted(ARITHMETIC_METHODS & set(vars(Tensor))) == []

@@ -113,8 +113,8 @@ class TestStepScheduler:
         last = 0
         for _ in range(1000):
             step_scheduler(state, float(rng.uniform()), 0.3, 0.6, 0.8)
-            assert state.phase.index >= last
-            last = state.phase.index
+            assert list(Phase).index(state.phase) >= last
+            last = list(Phase).index(state.phase)
 
     def test_refinement_is_terminal(self):
         state = StageState(phase=Phase.REFINEMENT)
