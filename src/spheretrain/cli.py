@@ -18,7 +18,6 @@ from .config import TrainConfig, get_float, get_int, get_str, parse_kv_file
 from .data import (
     Dataset,
     ImageClassSpec,
-    ImageDataset,
     SphereClusterSpec,
     gen_image_dataset,
     gen_sphere_dataset,
@@ -41,13 +40,10 @@ from .fileio import (
 from .gradcheck import run_suite
 
 
-def build_dataset(mapping: dict[str, str], default_seed: int) -> tuple[Dataset, ImageDataset | None]:
-    """Materialize the dataset a config mapping describes.
-
-    Returns the split selected by the ``split`` key (default ``all``; image
-    datasets also offer ``train`` and ``eval``) plus the full image dataset
-    when one exists, so callers can reach the other split.
-    """
+def build_dataset(mapping: dict[str, str], default_seed: int) -> Dataset:
+    """Materialize the dataset a config mapping describes: the split selected
+    by the ``split`` key (default ``all``; image datasets also offer ``train``
+    and ``eval``)."""
     kind = get_str(mapping, "dataset")
     seed = get_int(mapping, "data_seed", default_seed)
     split = get_str(mapping, "split", "all")
@@ -60,7 +56,7 @@ def build_dataset(mapping: dict[str, str], default_seed: int) -> tuple[Dataset, 
             seed=seed,
             distribution=get_str(mapping, "distribution", "vmf"),
         )
-        return gen_sphere_dataset(spec), None
+        return gen_sphere_dataset(spec)
     if kind == "images":
         spec = ImageClassSpec(
             num_classes=get_int(mapping, "num_classes"),
@@ -80,7 +76,7 @@ def build_dataset(mapping: dict[str, str], default_seed: int) -> tuple[Dataset, 
         }
         if split not in views:
             raise ConfigError(f"unknown split {split!r}; pick all, train or eval")
-        return views[split](), image_ds
+        return views[split]()
     if kind == "file":
         path = Path(get_str(mapping, "path"))
         magic = path.read_bytes()[:4]
@@ -95,7 +91,7 @@ def build_dataset(mapping: dict[str, str], default_seed: int) -> tuple[Dataset, 
             raise ConfigError(f"{path}: unrecognized dataset file magic {magic!r}")
         if not num_classes:
             num_classes = int(labels.max()) + 1
-        return Dataset(inputs=inputs, labels=labels, num_classes=num_classes), None
+        return Dataset(inputs=inputs, labels=labels, num_classes=num_classes)
     raise ConfigError(f"unknown dataset kind {kind!r}; pick sphere, images or file")
 
 
@@ -134,7 +130,7 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig.from_mapping(mapping)
     split = get_str(mapping, "split", "train" if mapping.get("dataset") == "images" else "all")
     mapping = {**mapping, "split": split}
-    dataset, _ = build_dataset(mapping, cfg.seed)
+    dataset = build_dataset(mapping, cfg.seed)
     if resume_ckpt is not None:
         encoder = build_encoder(resume_ckpt.encoder_arch)
     else:
@@ -166,7 +162,7 @@ def _cmd_export(args) -> int:
     encoder = build_encoder(ckpt.encoder_arch)
     encoder.restore(ckpt.encoder_arrays)
     mapping = parse_kv_file(args.data)
-    dataset, _ = build_dataset(mapping, get_int(mapping, "data_seed", 0))
+    dataset = build_dataset(mapping, get_int(mapping, "data_seed", 0))
     features = embed_dataset(encoder, dataset.inputs)
     write_embeddings(args.out, features, dataset.labels)
     print(f"wrote {dataset.size} embeddings of dim {features.shape[1]} to {args.out}")
@@ -222,7 +218,7 @@ def _cmd_gen_data(args) -> int:
     for key, cap in caps.items():
         if cap < 0:
             raise ConfigError(f"'pairs_{key}' must be nonnegative, got {cap}")
-    dataset, _ = build_dataset(mapping, get_int(mapping, "data_seed", 0))
+    dataset = build_dataset(mapping, get_int(mapping, "data_seed", 0))
     if dataset.inputs.ndim == 2:
         write_embeddings(args.out, dataset.inputs, dataset.labels)
     else:

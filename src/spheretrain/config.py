@@ -66,6 +66,8 @@ class TrainConfig:
             raise ConfigError("batch size switch iteration must be nonnegative")
         if self.lr_decay_iterations is not None and self.lr_decay_iterations < 1:
             raise ConfigError("lr decay horizon must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"'seed' must be nonnegative, got {self.seed}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be positive")
         if not 0.0 <= self.css_beta < 1.0:
@@ -110,18 +112,11 @@ class TrainConfig:
         for f in fields(cls):
             if f.name not in mapping:
                 continue
-            raw = mapping[f.name].strip()
-            if raw.lower() == "none":
+            if mapping[f.name].strip().lower() == "none":
                 kwargs[f.name] = None
-                continue
-            try:
-                if f.name in ("batch_size", "batch_size_late", "batch_size_switch",
-                              "seed", "max_iterations", "lr_decay_iterations"):
-                    kwargs[f.name] = int(float(raw))
-                else:
-                    kwargs[f.name] = float(raw)
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad value for {f.name!r}: {raw!r}") from exc
+            else:
+                get = get_int if f.type.startswith("int") else get_float
+                kwargs[f.name] = get(mapping, f.name)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -159,10 +154,18 @@ def get_int(mapping: dict[str, str], key: str, default: int | None = None) -> in
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return default
+    raw = mapping[key]
     try:
-        return int(float(mapping[key]))
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad integer for {key!r}: {mapping[key]!r}") from exc
+        return int(raw)
+    except ValueError:
+        pass
+    try:  # an integral float form such as 1e3
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise ConfigError(f"bad integer for {key!r}: {raw!r}")
+    return int(value)
 
 
 def get_float(mapping: dict[str, str], key: str, default: float | None = None) -> float:

@@ -75,18 +75,21 @@ class ImageClassSpec:
             raise DomainError("noise amplitude must be nonnegative")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise DomainError("eval fraction must lie in [0, 1)")
-        if self.jitter < 0:
-            raise DomainError("jitter must be nonnegative")
+        if not 0 <= self.jitter <= self.image_width:
+            raise DomainError(f"jitter must lie in [0, image_width], got {self.jitter}")
 
 
 def _check_spec(spec, counts: tuple[str, ...]) -> None:
-    """Reject a non-finite float field, and any of ``counts`` below 1."""
+    """Reject a non-finite float field, any of ``counts`` below 1 and a
+    negative seed."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{f.name} must be finite, got {value}")
         if f.name in counts and value < 1:
             raise DomainError(f"{f.name} must be at least 1, got {value}")
+    if spec.seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {spec.seed}")
 
 
 def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:

@@ -1,23 +1,24 @@
 """Feature extractors that map raw inputs to unit-norm embeddings.
 
-Two encoders share one parameter protocol: a two-layer MLP for loss-level
-experiments on vector inputs, and a small vision transformer for images. The
-transformer has no class token; after the final layer every patch token is
-concatenated and fed through an MLP head, and the result is normalized onto
-the unit sphere.
+There are two encoders: a two-layer MLP for loss-level experiments on vector
+inputs, and a small vision transformer for images. The transformer has no
+class token; after the final layer every patch token is concatenated and fed
+through an MLP head, and the result is normalized onto the unit sphere.
 
-An encoder's parameters live in one flat float64 arena, a (P,) leaf whose
-gradient is a second (P,) vector: each named parameter is a reshaped view
-of its slice of both, in declaration order, so training steps, checks and
-clears all P values at once while checkpoints still see named arrays.
-``bind`` points the views at another (P,) tensor, which is how the
-gradient check perturbs every parameter through one probe row.
+One base class, ``_Encoder``, owns both encoders' parameters. A subclass
+declares them by name, kind and shape, and the base class lays them out in
+one flat float64 arena, a (P,) leaf whose gradient is a second (P,) vector:
+each named parameter is a reshaped view of its slice of both, in declaration
+order, so training steps, checks and clears all P values at once while
+checkpoints still see named arrays. ``bind`` points the views at another
+(P,) tensor, which is how the gradient check perturbs every parameter
+through one probe row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -79,17 +80,7 @@ class ViTConfig:
         return self.head_hidden if self.head_hidden is not None else self.embed_dim
 
     def to_mapping(self) -> dict:
-        return {
-            "image_width": self.image_width,
-            "patch_stride": self.patch_stride,
-            "token_dim": self.token_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "embed_dim": self.embed_dim,
-            "channels": self.channels,
-            "ffn_hidden": self.ffn_width,
-            "head_hidden": self.head_width,
-        }
+        return {**asdict(self), "ffn_hidden": self.ffn_width, "head_hidden": self.head_width}
 
 
 def patchify(images: np.ndarray, config: ViTConfig) -> np.ndarray:
@@ -109,19 +100,21 @@ def patchify(images: np.ndarray, config: ViTConfig) -> np.ndarray:
     return rows.reshape(-1, config.patch_len)
 
 
-class _ParamStore:
-    """Ordered named parameters with kind-aware initialization, each a view
-    into the (P,) ``arena`` leaf: its data in ``arena.data``, its gradient in
-    ``arena.grad``, which the autodiff accumulates into and training zeroes."""
+class _Encoder:
+    """The parameters of an encoder and the protocol both encoders share.
+
+    A subclass declares its named parameters in order, then calls
+    ``allocate``. Each is a view into the (P,) ``arena`` leaf: its data in
+    ``arena.data``, its gradient in ``arena.grad``, which the autodiff
+    accumulates into and training zeroes."""
 
     def __init__(self):
         self._specs: list[tuple[str, tuple[int, ...], str, tuple | None]] = []
-        self._tensors: dict[str, Tensor] = {}
-        self.arena: Tensor | None = None
 
     def declare(self, name: str, shape: tuple[int, ...], kind: str, draw=None) -> None:
-        """``draw`` = (draw_shape, axes): a weight drawn in another shape, then
-        transposed by ``axes`` and reshaped, e.g. a fused weight's blocks."""
+        """``kind`` is weight, bias or gain. ``draw`` = (draw_shape, axes): a
+        weight drawn in another shape, then transposed by ``axes`` and
+        reshaped, e.g. a fused weight's blocks."""
         self._specs.append((name, shape, kind, draw))
 
     def declare_affine(self, name: str, fan_in: int, fan_out: int, draw=None) -> None:
@@ -142,8 +135,10 @@ class _ParamStore:
         self.bind(self.arena)
 
     def bind(self, flat: Tensor) -> None:
-        """View every parameter's data and grad in ``flat.data`` and
-        ``flat.grad``, consecutive slices in declaration order."""
+        """Make ``flat`` (a (P,) tensor with a gradient) the parameters' storage:
+        every parameter's data and grad become consecutive slices of
+        ``flat.data`` and ``flat.grad`` in declaration order. ``bind(self.arena)``
+        returns them to their own."""
         if flat.shape != self.arena.shape or flat.grad is None or flat.grad.shape != flat.shape:
             raise ShapeError(f"need a {self.arena.shape} tensor with a gradient to bind, "
                              f"got {flat.shape}")
@@ -173,17 +168,16 @@ class _ParamStore:
             if kind == "weight":
                 draw_shape, axes = draw or (shape, tuple(range(len(shape))))
                 data = rng.normal(0.0, weight_std, size=draw_shape).transpose(axes).reshape(shape)
-            elif kind == "bias":
-                data = 0.0
-            elif kind == "gain":
-                data = 1.0
             else:
-                raise ConfigError(f"unknown parameter kind {kind!r}")
+                data = 1.0 if kind == "gain" else 0.0
             self[name].data[...] = data
         self.arena.grad.fill(0.0)
 
-    def items(self) -> list[tuple[str, Tensor]]:
+    def params(self) -> list[tuple[str, Tensor]]:
         return list(self._tensors.items())
+
+    def num_params(self) -> int:
+        return self.arena.size
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
         """Overwrite every parameter from ``arrays``, which must hold exactly
@@ -206,32 +200,6 @@ class _ParamStore:
         self.arena.grad.fill(0.0)
 
 
-class _Encoder:
-    """The parameter protocol both encoders share, over their ``_ParamStore``."""
-
-    def __init__(self, store: _ParamStore):
-        store.allocate()
-        self._store = store
-        self.arena = store.arena  # the (P,) leaf every parameter is a view into
-
-    def init(self, rng: np.random.Generator, weight_std: float = INIT_STD) -> None:
-        self._store.init(rng, weight_std)
-
-    def params(self) -> list[tuple[str, Tensor]]:
-        return self._store.items()
-
-    def num_params(self) -> int:
-        return self.arena.size
-
-    def bind(self, flat: Tensor) -> None:
-        """Make ``flat`` (a (P,) tensor with a gradient) the parameters' storage;
-        ``bind(self.arena)`` returns them to their own."""
-        self._store.bind(flat)
-
-    def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        self._store.restore(arrays)
-
-
 class MLPEncoder(_Encoder):
     """Two affine layers with a smooth nonlinearity between, then unit-normalize."""
 
@@ -241,17 +209,17 @@ class MLPEncoder(_Encoder):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.embed_dim = embed_dim
-        store = _ParamStore()
-        store.declare_affine("fc1", input_dim, hidden_dim)
-        store.declare_affine("fc2", hidden_dim, embed_dim)
-        super().__init__(store)
+        super().__init__()
+        self.declare_affine("fc1", input_dim, hidden_dim)
+        self.declare_affine("fc2", hidden_dim, embed_dim)
+        self.allocate()
 
     def forward(self, inputs: np.ndarray) -> Tensor:
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"expected (batch, {self.input_dim}) inputs, got {x.shape}")
-        h = T.gelu(self._store.affine(Tensor(x), "fc1"))
-        return T.l2_normalize_rows(self._store.affine(h, "fc2"))
+        h = T.gelu(self.affine(Tensor(x), "fc1"))
+        return T.l2_normalize_rows(self.affine(h, "fc2"))
 
     def describe(self) -> dict:
         return {
@@ -284,57 +252,57 @@ class ViTEncoder(_Encoder):
     def __init__(self, config: ViTConfig):
         self.config = config
         self.embed_dim = config.embed_dim
-        store = _ParamStore()
-        store.declare("patch_embed", (config.patch_len, config.token_dim), "weight")
-        store.declare("pos_embed", (config.num_patches, config.token_dim), "weight")
+        super().__init__()
+        self.declare("patch_embed", (config.patch_len, config.token_dim), "weight")
+        self.declare("pos_embed", (config.num_patches, config.token_dim), "weight")
         d, dh, heads = config.token_dim, config.head_dim, config.heads
         # Drawn head by head, q/k/v within a head, each block a (d, dh) draw.
         qkv_draw = ((heads, 3, d, dh), (2, 1, 0, 3))
         for i in range(config.layers):
             pre = f"layer{i}."
-            store.declare_norm(pre + "attn_ln", d)
-            store.declare_affine(pre + "attn_qkv", d, 3 * d, draw=qkv_draw)
-            store.declare_affine(pre + "attn_out", d, d)
-            store.declare_norm(pre + "ffn_ln", d)
-            store.declare_affine(pre + "ffn1", d, config.ffn_width)
-            store.declare_affine(pre + "ffn2", config.ffn_width, d)
-        store.declare_affine("head_fc1", config.num_patches * d, config.head_width)
-        store.declare_norm("head_ln", config.head_width)
-        store.declare_affine("head_fc2", config.head_width, config.embed_dim)
-        super().__init__(store)
+            self.declare_norm(pre + "attn_ln", d)
+            self.declare_affine(pre + "attn_qkv", d, 3 * d, draw=qkv_draw)
+            self.declare_affine(pre + "attn_out", d, d)
+            self.declare_norm(pre + "ffn_ln", d)
+            self.declare_affine(pre + "ffn1", d, config.ffn_width)
+            self.declare_affine(pre + "ffn2", config.ffn_width, d)
+        self.declare_affine("head_fc1", config.num_patches * d, config.head_width)
+        self.declare_norm("head_ln", config.head_width)
+        self.declare_affine("head_fc2", config.head_width, config.embed_dim)
+        self.allocate()
 
     def attention(self, tokens: Tensor, layer: int) -> Tensor:
         """Multi-head self-attention over the token rows of one or more images
         (G*N x D), each image's N rows attending among themselves."""
         groups = tokens.shape[0] // self.config.num_patches
-        p, pre = self._store, f"layer{layer}."
-        mixed = T.attention(p.affine(tokens, pre + "attn_qkv"), groups, self.config.heads)
-        return p.affine(mixed, pre + "attn_out")
+        pre = f"layer{layer}."
+        mixed = T.attention(self.affine(tokens, pre + "attn_qkv"), groups, self.config.heads)
+        return self.affine(mixed, pre + "attn_out")
 
     def forward_tokens(self, images: np.ndarray) -> Tensor:
         """Token rows after the last transformer layer, before the head: (N, D)
         for one image, (B*N, D) image by image for a batch."""
-        p, cfg = self._store, self.config
-        z = T.matmul(Tensor(patchify(images, cfg)), p["patch_embed"])
+        cfg = self.config
+        z = T.matmul(Tensor(patchify(images, cfg)), self["patch_embed"])
         per_image = (z.shape[0] // cfg.num_patches, cfg.num_patches * cfg.token_dim)
-        z = T.add_rowvec(T.reshape(z, per_image), T.reshape(p["pos_embed"], per_image[1:]))
+        z = T.add_rowvec(T.reshape(z, per_image), T.reshape(self["pos_embed"], per_image[1:]))
         z = T.reshape(z, (-1, cfg.token_dim))
         for i in range(cfg.layers):
             pre = f"layer{i}."
-            z = T.add(self.attention(p.layer_norm(z, pre + "attn_ln"), i), z)
-            h = T.gelu(p.affine(p.layer_norm(z, pre + "ffn_ln"), pre + "ffn1"))
-            z = T.add(p.affine(h, pre + "ffn2"), z)
+            z = T.add(self.attention(self.layer_norm(z, pre + "attn_ln"), i), z)
+            h = T.gelu(self.affine(self.layer_norm(z, pre + "ffn_ln"), pre + "ffn1"))
+            z = T.add(self.affine(h, pre + "ffn2"), z)
         return z
 
     def forward(self, inputs: np.ndarray) -> Tensor:
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 4:
             raise ShapeError(f"expected (batch, W, W, C) images, got shape {x.shape}")
-        p, cfg = self._store, self.config
+        cfg = self.config
         z = self.forward_tokens(x)
         flat = T.reshape(z, (x.shape[0], cfg.num_patches * cfg.token_dim))
-        h = T.gelu(p.layer_norm(p.affine(flat, "head_fc1"), "head_ln"))
-        return T.l2_normalize_rows(p.affine(h, "head_fc2"))
+        h = T.gelu(self.layer_norm(self.affine(flat, "head_fc1"), "head_ln"))
+        return T.l2_normalize_rows(self.affine(h, "head_fc2"))
 
     def describe(self) -> dict:
         return {"kind": "vit", **self.config.to_mapping()}

@@ -34,6 +34,8 @@ from .tensor import Tensor
 # Cosines are clamped this far inside [-1, 1] before any arccos so the
 # derivative never blows up at the poles.
 COSINE_CLAMP = 1e-7
+# Entries per column range of ``unit_columns`` (128 KB of float64).
+_NORM_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -107,8 +109,18 @@ class ClassifierBank:
 
 
 def unit_columns(block: np.ndarray) -> None:
-    """Rescale every column of ``block`` to unit norm, in place."""
-    block /= np.linalg.norm(block, axis=0, keepdims=True)
+    """Rescale every column of ``block`` to unit norm, in place, over column
+    ranges of about ``_NORM_CHUNK_ENTRIES`` entries, so no temporary is
+    block-sized. No range is one lone column of several: numpy sums a lone
+    C-order column in another order, so the whole-block norm would differ."""
+    d, n = block.shape
+    width = max(2, _NORM_CHUNK_ENTRIES // d)
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= width + 1 else lo + width
+        cols = block[:, lo:hi]
+        cols /= np.linalg.norm(cols, axis=0, keepdims=True)
+        lo = hi
 
 
 @dataclass(frozen=True)

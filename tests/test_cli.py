@@ -166,6 +166,18 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("line, field", [("seed = -1", "'seed'"),
+                                             ("data_seed = -1", "seed"),
+                                             ("mlp_hidden = 2.5", "'mlp_hidden'"),
+                                             ("batch_size = 2.5", "'batch_size'")])
+    def test_bad_integer_setting_exits_one(self, tmp_path, sphere_train_config, capsys, line,
+                                           field):
+        bad = write(tmp_path / "bad.cfg", open(sphere_train_config).read() + line + "\n")
+        assert main(["train", "--config", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_resume_with_undeclared_parameter_exits_one(self, tmp_path, sphere_train_config,
                                                         capsys):
         assert main(["train", "--config", sphere_train_config]) == 0
@@ -290,9 +302,18 @@ class TestDataAndEvalCommands:
         "dataset = images\nnum_classes = 2\nimage_width = 0\nsamples_per_class = 2\n",
         "dataset = images\nnum_classes = 2\nimage_width = 8\nsamples_per_class = 2\n"
         "noise = nan\n",
+        "dataset = sphere\nnum_classes = 3\ndim = 8\nkappa = 10\nsamples_per_class = 2\n"
+        "data_seed = -1\n",
+        "dataset = images\nnum_classes = 2\nimage_width = 8\nsamples_per_class = 2\n"
+        "data_seed = -1\n",
+        "dataset = images\nnum_classes = 2\nimage_width = 8\nsamples_per_class = 2\n"
+        "jitter = 100000000000000000000\n",
+        "dataset = images\nnum_classes = 2\nimage_width = 8\nsamples_per_class = 2\n"
+        "jitter = 9\n",
     ], ids=["kappa-nan", "kappa-inf", "kappa-1e17", "sphere-negative-count",
             "sphere-zero-count", "negative-pair-cap", "images-negative-count",
-            "images-zero-count", "zero-width", "noise-nan"])
+            "images-zero-count", "zero-width", "noise-nan", "sphere-negative-seed",
+            "images-negative-seed", "jitter-1e20", "jitter-above-width"])
     def test_gen_data_rejects_what_cannot_be_generated(self, tmp_path, spec):
         # A subprocess with a timeout, so that a spec that never finishes
         # fails this test instead of blocking the suite.

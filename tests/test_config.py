@@ -127,6 +127,26 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="'data_seed'"):
             get_int({"data_seed": value}, "data_seed")
 
+    def test_integers_are_read_exactly(self):
+        assert get_int({"seed": "9007199254740993"}, "seed") == 9007199254740993
+        assert get_int({"seed": "-12"}, "seed") == -12
+        assert get_int({"max_iterations": "1e3"}, "max_iterations") == 1000
+        assert get_int({"max_iterations": "40.0"}, "max_iterations") == 40
+        cfg = TrainConfig.from_mapping({"seed": "9007199254740993", "batch_size": "1e2"})
+        assert cfg.seed == 9007199254740993 and cfg.batch_size == 100
+
+    @pytest.mark.parametrize("value", ["2.5", "1e-3", "-0.5"])
+    def test_a_fractional_integer_is_rejected(self, value):
+        with pytest.raises(ConfigError, match="'mlp_hidden'"):
+            get_int({"mlp_hidden": value}, "mlp_hidden")
+        for key in INT_FIELDS:
+            with pytest.raises(ConfigError, match=repr(key)):
+                TrainConfig.from_mapping({key: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="'seed'"):
+            TrainConfig(seed=-1).validate()
+
 
 def toy_checkpoint(seed=0):
     rng = np.random.Generator(np.random.Philox(seed))

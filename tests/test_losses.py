@@ -19,6 +19,7 @@ from spheretrain.losses import (
     margin_positive,
     softmax_ce_loss,
     unified_margin_loss,
+    unit_columns,
 )
 from spheretrain.sampler import sample
 from spheretrain.scheduler import css_score
@@ -425,3 +426,23 @@ class TestClassifierBank:
             bank.lay_out(class_major)
             bank.renormalize_columns(ids)
             assert bank.weight.data.tobytes(order="C") == expected.tobytes()
+
+    def test_unit_columns_matches_the_whole_block_in_chunk_sized_temporaries(self):
+        # The norms are taken over ranges of columns. Each shape but the first
+        # and the last leaves one column after its last full range, and
+        # numpy sums a lone C-order column in another order.
+        rng = rng_for(14)
+        for shape in [(32, 10_000), (32, 513), (16, 1025), (24, 683), (12, 1366), (40, 410),
+                      (8, 2049), (8193, 3), (2, 1)]:
+            for order in "CF":
+                block = np.asarray(rng.uniform(-2.0, 2.0, size=shape), order=order)
+                expected = block / np.linalg.norm(block, axis=0, keepdims=True)
+                tracemalloc.start()
+                try:
+                    unit_columns(block)
+                    peak = tracemalloc.get_traced_memory()[1] / block.nbytes
+                finally:
+                    tracemalloc.stop()
+                assert block.tobytes(order="C") == expected.tobytes(order="C"), (shape, order)
+                if shape == (32, 10_000):
+                    assert peak <= 0.2, (order, peak)
