@@ -153,8 +153,8 @@ class _Encoder:
         return self._tensors[name]
 
     def affine(self, x: Tensor, name: str) -> Tensor:
-        """x @ ``name.w`` + ``name.b``."""
-        return T.add_rowvec(T.matmul(x, self[name + ".w"]), self[name + ".b"])
+        """x @ ``name.w`` + ``name.b``, one node."""
+        return T.affine(x, self[name + ".w"], self[name + ".b"])
 
     def layer_norm(self, x: Tensor, name: str) -> Tensor:
         return T.layer_norm(x, self[name + ".gain"], self[name + ".bias"])
@@ -243,10 +243,11 @@ class ViTEncoder(_Encoder):
     scores are scaled by 1/sqrt(head_dim).
 
     A batch of B images runs as one graph: its B*N patch tokens are the rows
-    of every layer, so layer norms, projections and the FFN are single row-wise
-    ops, and ``tensor.attention`` keeps each image's N rows to themselves. Each
-    layer has one fused (D, 3D) projection ``attn_qkv.w`` with columns
-    [q | k | v]; head h owns columns h*dh .. (h+1)*dh of each block.
+    of every layer, and ``tensor.attention`` keeps each image's N rows to
+    themselves. Every projection is one ``tensor.affine`` node, the patch
+    embedding too, whose bias is the (N, D) position embedding tiled over the
+    images. Each layer has one fused (D, 3D) projection ``attn_qkv.w`` with
+    columns [q | k | v]; head h owns columns h*dh .. (h+1)*dh of each block.
     """
 
     def __init__(self, config: ViTConfig):
@@ -283,10 +284,7 @@ class ViTEncoder(_Encoder):
         """Token rows after the last transformer layer, before the head: (N, D)
         for one image, (B*N, D) image by image for a batch."""
         cfg = self.config
-        z = T.matmul(Tensor(patchify(images, cfg)), self["patch_embed"])
-        per_image = (z.shape[0] // cfg.num_patches, cfg.num_patches * cfg.token_dim)
-        z = T.add_rowvec(T.reshape(z, per_image), T.reshape(self["pos_embed"], per_image[1:]))
-        z = T.reshape(z, (-1, cfg.token_dim))
+        z = T.affine(Tensor(patchify(images, cfg)), self["patch_embed"], self["pos_embed"])
         for i in range(cfg.layers):
             pre = f"layer{i}."
             z = T.add(self.attention(self.layer_norm(z, pre + "attn_ln"), i), z)

@@ -25,7 +25,7 @@ then zero-fills the arena's gradient. Every gradient passes its finite check
 before any parameter moves, so an abort leaves the last iteration boundary
 intact; a non-finite encoder gradient is named by parameter and index. A
 log row is emitted per iteration and a checkpoint is written at the end (or
-on abort). Identical config and seed reproduce the run bit for bit.
+on abort, Ctrl-C too). Identical config and seed reproduce the run bit for bit.
 """
 
 from __future__ import annotations
@@ -166,24 +166,16 @@ def loss_refinement(
     )
 
 
-class _LogWriter:
-    def __init__(self, path: str | Path | None, append: bool):
-        self._fh = None
-        if path is not None:
-            path = Path(path)
-            fresh = not append or not path.exists() or path.stat().st_size == 0
-            self._fh = open(path, "a" if append else "w")
-            if fresh:
-                self._fh.write(LOG_HEADER + "\n")
-
-    def write(self, row: LogRow) -> None:
-        if self._fh is not None:
-            self._fh.write(row.to_csv() + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+def _open_log(path: str | Path, keep: int | None):
+    """The CSV log, cut back to its header and first ``keep`` rows, the
+    iterations a resumed checkpoint has done; to nothing if ``keep`` is None."""
+    fh = open(path, "a+b")  # bytes: a row that is not UTF-8 is kept or cut, never decoded
+    fh.seek(0)
+    for _ in range(0 if keep is None else 1 + keep):
+        fh.readline()
+    if fh.truncate(fh.tell()) == 0:  # nothing kept
+        fh.write(f"{LOG_HEADER}\n".encode())
+    return fh
 
 
 def _snapshot(
@@ -250,8 +242,8 @@ def train(
     Philox stream seeded with ``config.seed``; batches and negative samples
     come from the same stream afterwards, which is what makes a run a pure
     function of (config, dataset). Passing ``resume`` continues a checkpoint
-    exactly where it stopped and appends to ``log_path``; a fresh run
-    overwrites it.
+    exactly where it stopped and writes ``log_path`` on from the row it
+    stopped at; a fresh run overwrites it.
     """
     config.validate()
     n = dataset.size
@@ -264,12 +256,12 @@ def train(
             )
     mapping = dict(config_mapping) if config_mapping is not None else config.to_mapping()
 
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    protos = PrototypeBank(encoder.embed_dim, dataset.num_classes)
+    opt = AdamW(config.beta1, config.beta2)
     if resume is None:
-        rng = np.random.Generator(np.random.Philox(config.seed))
         encoder.init(rng)
         bank = ClassifierBank.init_random(encoder.embed_dim, dataset.num_classes, rng)
-        protos = PrototypeBank(encoder.embed_dim, dataset.num_classes)
-        opt = AdamW(config.beta1, config.beta2)
         state = StageState()
     else:
         if resume.encoder_arch != encoder.describe():
@@ -279,25 +271,24 @@ def train(
         _check_resume_state(resume, encoder, dataset.num_classes)
         encoder.restore(resume.encoder_arrays)
         bank = ClassifierBank(weight=Tensor(resume.classifier.copy(), requires_grad=True))
-        protos = PrototypeBank(bank.dim, bank.num_classes)
         protos.E = resume.prototypes.copy()
         protos.initialized = resume.prototypes_initialized.copy()
-        opt = AdamW(config.beta1, config.beta2)
         opt.restore(resume.optimizer_arrays, resume.optimizer_counts)
         state = copy.copy(resume.stage)
-        rng = np.random.Generator(np.random.Philox(config.seed))
         rng.bit_generator.state = copy.deepcopy(resume.rng_state)
 
     arena = encoder.arena
 
     rows: list[LogRow] = []
-    log = _LogWriter(log_path, append=resume is not None)
+    log = None if log_path is None else _open_log(
+        log_path, keep=None if resume is None else state.iteration)
     # The stream at the boundary ``state.iteration`` names. An abort
     # checkpoint saves this, not the stream after the failed iteration's draws.
     rng_state = rng.bit_generator.state
     # The prototype columns and flags an uncounted iteration's fold overwrote,
     # put back before an abort checkpoint pairs them with ``rng_state``.
     folded = None
+    moving = False  # True while an interrupt would leave no intact boundary
     try:
         for it in range(state.iteration + 1, config.max_iterations + 1):
             batch_idx = rng.choice(n, size=config.batch_size_at(it), replace=False)
@@ -340,6 +331,7 @@ def train(
             if not math.isfinite(arena.grad.sum()):  # only a failure walks the views
                 for name, t in encoder.params():
                     opt.check_finite(f"encoder.{name}", t.grad)
+            moving = True  # a step raises any Exception before it moves anything
             opt.step("classifier", bank.weight.data, leaf.grad, lr, config.weight_decay,
                      columns=ids, project=unit_columns)
             opt.step("encoder", arena.data, arena.grad, lr, config.weight_decay)
@@ -350,6 +342,7 @@ def train(
             rng_state = rng.bit_generator.state
             folded = None
             step_scheduler(state, css, config.delta1, config.delta2, config.css_beta)
+            moving = False
             row = LogRow(
                 iteration=it,
                 phase=phase.value,
@@ -359,20 +352,23 @@ def train(
                 lr=lr,
             )
             rows.append(row)
-            log.write(row)
-    except Exception:
+            if log is not None:
+                log.write(f"{row.to_csv()}\n".encode())
+                log.flush()
+    except BaseException as exc:  # Ctrl-C too: save the boundary, then re-raise
         if folded is not None:
             seen, columns, flags = folded
             protos.E[:, seen] = columns
             protos.initialized[seen] = flags
-        if checkpoint_path is not None:
+        if checkpoint_path is not None and (isinstance(exc, Exception) or not moving):
             save_checkpoint(
                 checkpoint_path,
                 _snapshot(encoder, bank, protos, opt, state, rng_state, mapping),
             )
         raise
     finally:
-        log.close()
+        if log is not None:
+            log.close()
 
     ckpt = _snapshot(encoder, bank, protos, opt, state, rng_state, mapping)
     if checkpoint_path is not None:

@@ -69,6 +69,7 @@ def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
     # so the cosines reach the loss along both paths
     cos = rng.uniform(-1.0, 1.0, size=(3, 7))
     labels = rng.integers(0, 3, size=3)
+    tiled, lin = rng.standard_normal((2, 2)), Tensor(rng.standard_normal((4, 2)))  # a @ b + tiled
 
     def margin_lse(t):
         return T.reduce_sum(T.margin_logsumexp([
@@ -78,6 +79,8 @@ def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
 
     return _results([
         ("matmul", lambda t: T.reduce_sum(T.matmul(t, b)), a),
+        ("affine", lambda t: T.reduce_sum(T.mul(T.affine(t, b, Tensor(tiled)), lin)), a),
+        ("affine/bias", lambda t: T.reduce_sum(T.mul(T.affine(Tensor(a), b, t), lin)), tiled),
         ("mul", lambda t: T.reduce_sum(T.mul(t, t)), x),
         ("gelu", lambda t: T.reduce_sum(T.gelu(t)), x),
         ("row_logsumexp", lambda t: T.reduce_sum(T.row_logsumexp(t)), w),

@@ -7,10 +7,10 @@ gradients into every tensor that has ``requires_grad`` set. Graphs are
 rebuilt on each forward pass; a given root can be walked only once.
 
 All data is float64 and at most rank 2, which is everything the encoders and
-losses in this package need. One op works at higher rank internally:
-:func:`attention` views its (G*N, 3D) input as rank-4 (group, head, token,
-feature) blocks, so a batch of token sequences attends in a few numpy calls;
-its input and output are still rank 2.
+losses in this package need. Two ops work at higher rank internally, on
+rank-2 inputs and outputs: :func:`attention` views (G*N, 3D) rows as rank-4
+(group, head, token, feature) blocks, and :func:`affine` views its (m, n)
+product as rank-3 (m/p, p, n) blocks to add a (p, n) bias to each.
 
 Forward passes are bit-deterministic for a fixed op order. Op outputs are
 never mutated; optimizers may rewrite leaf ``.data`` between forward passes,
@@ -149,7 +149,7 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic (identical shapes, or tensor-and-scalar)
+# elementwise arithmetic (identical shapes; ``add`` also takes a scalar)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -171,9 +171,7 @@ def add(a: Tensor, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return add(a, -float(b))
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
     data = a.data - b.data
 
@@ -184,9 +182,7 @@ def sub(a: Tensor, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return scale(a, float(b))
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
     data = a.data * b.data
 
@@ -224,6 +220,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, a.data.T @ g)
 
     return _make(data, (a, b), backward)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node; b is one (n,) row added to every row of the
+    (m, n) product, or a (p, n) block added to each run of p rows (p | m)."""
+    p = b.shape[0] if b.data.ndim == 2 else 1
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or p < 1
+            or b.data.ndim not in (1, 2) or b.shape[-1] != w.shape[1] or x.shape[0] % p):
+        raise ShapeError(f"affine shapes disagree: {x.shape} @ {w.shape} + {b.shape}")
+    data = x.data @ w.data  # C-contiguous, so the reshape below is a view
+    blocks = data.reshape(-1, *b.shape)
+    blocks += b.data
+
+    def backward(g: Array) -> None:
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.reshape(-1, *b.shape).sum(axis=0))
+
+    return _make(data, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +537,6 @@ def take_per_row(a: Tensor, cols) -> Tensor:
         a.grad[row_ids, idx] += g[:, 0]  # one entry per row: no duplicates
 
     return _make(data, (a,), backward)
-
-
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an (m, n) tensor."""
-    if a.data.ndim != 2 or v.data.ndim != 1 or v.shape[0] != a.shape[1]:
-        raise ShapeError(f"add_rowvec shapes disagree: {a.shape} and {v.shape}")
-    data = a.data + v.data
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g)
-        _accumulate(v, g.sum(axis=0))
-
-    return _make(data, (a, v), backward)
 
 
 # ---------------------------------------------------------------------------

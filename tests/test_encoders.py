@@ -370,3 +370,26 @@ class TestParameterArena:
         row.grad = np.zeros(row.shape)
         with pytest.raises(ShapeError):
             enc.bind(row)
+
+
+def op_nodes(out: Tensor) -> int:
+    """The graph nodes behind ``out`` that have a backward, ``out`` included."""
+    return sum(node._backward is not None for node in T._topological_order(out))
+
+
+@pytest.mark.parametrize("make, inputs, expected", [
+    # fc1, gelu, fc2, normalize
+    (lambda: MLPEncoder(32, 64, 32), np.ones((4, 32)), 4),
+    # patch embedding; 10 per layer: 2 norms, 4 projections, attention, gelu,
+    # 2 residual adds; head: flatten, fc1, norm, gelu, fc2, normalize
+    (lambda: ViTEncoder(ViTConfig(image_width=24, patch_stride=6, token_dim=16, layers=2,
+                                  heads=2, embed_dim=16, channels=1, ffn_hidden=32,
+                                  head_hidden=32)),
+     np.ones((4, 24, 24, 1)), 27),
+], ids=["mlp", "vit"])
+def test_graph_size_of_one_forward(make, inputs, expected):
+    # The ViT is the staged-efficacy config. Every projection is one affine
+    # node, the patch embedding and its position embedding included.
+    enc = make()
+    enc.init(rng_for(60))
+    assert op_nodes(enc.forward(inputs)) == expected

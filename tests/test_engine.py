@@ -426,6 +426,70 @@ class TestTrainLoop:
                                 fresh_encoder(), resume=saved)
         assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[4:]]
 
+    @pytest.mark.parametrize("loss_name, thresholds", [
+        ("loss_alignment", {}),
+        ("loss_refinement", {"delta1": 0.01, "delta2": 0.01}),  # refinement from iteration 3
+    ])
+    def test_ctrl_c_writes_the_boundary_checkpoint(self, tmp_path, monkeypatch, loss_name,
+                                                   thresholds):
+        # KeyboardInterrupt is not an Exception; in refinement the prototypes
+        # have folded the interrupted iteration's batch
+        ds = sphere_fixture(11)
+        cfg = quick_config(seed=21, max_iterations=30, **thresholds)
+        _, full_rows = train(cfg, ds, fresh_encoder())
+        original = getattr(engine, loss_name)
+        calls = {"n": 0}
+
+        def interrupt_the_5th(*args):
+            calls["n"] += 1
+            if calls["n"] == 5:
+                raise KeyboardInterrupt
+            return original(*args)
+
+        monkeypatch.setattr(engine, loss_name, interrupt_the_5th)
+        ckpt_path = tmp_path / "abort.lvpc"
+        with pytest.raises(KeyboardInterrupt):
+            train(cfg, ds, fresh_encoder(), checkpoint_path=ckpt_path)
+        monkeypatch.setattr(engine, loss_name, original)
+        assert ckpt_path.exists()
+        saved = load_checkpoint(ckpt_path)
+        done = saved.stage.iteration
+        assert done == (4 if loss_name == "loss_alignment" else 6)
+        assert full_rows[done].phase == loss_name.removeprefix("loss_")
+        _, resumed_rows = train(cfg, ds, fresh_encoder(), resume=saved)
+        assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[done:]]
+
+    def test_ctrl_c_while_parameters_move_writes_no_checkpoint(self, tmp_path, monkeypatch):
+        # the 5th iteration's classifier has stepped, its encoder not: no
+        # boundary is intact, and a checkpoint of iteration 4 would be torn
+        ds = sphere_fixture(11)
+        step = AdamW.step
+
+        def interrupt_the_5th_encoder_step(self, name, *args, **kwargs):
+            if name == "encoder" and self.step_counts.get(name) == 4:
+                raise KeyboardInterrupt
+            step(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(AdamW, "step", interrupt_the_5th_encoder_step)
+        ckpt_path = tmp_path / "abort.lvpc"
+        with pytest.raises(KeyboardInterrupt):
+            train(quick_config(seed=21, max_iterations=30), ds, fresh_encoder(),
+                  checkpoint_path=ckpt_path)
+        assert not ckpt_path.exists()
+
+    def test_resume_rewrites_the_log_rows_after_its_checkpoint(self, tmp_path):
+        ds = sphere_fixture(5)
+        full_log = tmp_path / "full.csv"
+        train(quick_config(seed=11, max_iterations=80), ds, fresh_encoder(), log_path=full_log)
+        log, half = tmp_path / "run.csv", tmp_path / "half.lvpc"
+        train(quick_config(seed=11, max_iterations=40), ds, fresh_encoder(),
+              log_path=log, checkpoint_path=half)
+        # the run went on to iteration 50, then is resumed from the checkpoint at 40
+        for iterations in (50, 80):
+            train(quick_config(seed=11, max_iterations=iterations), ds, fresh_encoder(),
+                  log_path=log, resume=load_checkpoint(half))
+        assert log.read_bytes() == full_log.read_bytes()
+
     @pytest.mark.parametrize("thresholds", [
         {},  # alignment: the classifier gradient is a sampled block
         {"delta1": 0.01, "delta2": 0.01},  # refinement from iteration 3: a dense gradient

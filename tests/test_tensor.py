@@ -52,6 +52,61 @@ class TestMatmul:
         np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=1e-14, atol=1e-15)
 
 
+class TestAffine:
+    def test_row_bias_adds_to_every_row(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        v = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        out = T.affine(x, Tensor(np.eye(3)), v)
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]] * 2)
+        T.reduce_sum(out).backward()
+        np.testing.assert_array_equal(v.grad, [2.0, 2.0, 2.0])
+
+    def test_bytes_match_the_product_plus_the_tiled_bias(self):
+        rng = rng_for(3)
+        x, w = rng.standard_normal((6, 4)), rng.standard_normal((4, 5))
+        for bias in (rng.standard_normal(5), rng.standard_normal((3, 5))):
+            out = T.affine(Tensor(x), Tensor(w), Tensor(bias))
+            tiled = np.tile(bias, (6 // len(np.atleast_2d(bias)), 1))
+            assert out.data.tobytes() == (x @ w + tiled).tobytes()
+
+    @pytest.mark.parametrize("bias_shape", [(5,), (3, 5), (6, 5)])
+    def test_gradients_match_finite_differences(self, bias_shape):
+        rng = rng_for(4)
+        x, w = rng.standard_normal((6, 4)), rng.standard_normal((4, 5))
+        b, probe = rng.standard_normal(bias_shape), Tensor(rng.standard_normal((6, 5)))
+
+        def objective(x, w, b):
+            return T.reduce_sum(T.mul(T.affine(x, w, b), probe))
+
+        for err in (
+            finite_difference_check(lambda t: objective(t, Tensor(w), Tensor(b)), Tensor(x)),
+            finite_difference_check(lambda t: objective(Tensor(x), t, Tensor(b)), Tensor(w)),
+            finite_difference_check(lambda t: objective(Tensor(x), Tensor(w), t), Tensor(b)),
+        ):
+            assert err < 1e-8
+
+    def test_tiled_bias_gradient_is_the_per_block_sum(self):
+        rng = rng_for(5)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        g = rng.standard_normal((8, 3))
+        out = T.affine(Tensor(rng.standard_normal((8, 4))), Tensor(rng.standard_normal((4, 3))), b)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        np.testing.assert_array_equal(b.grad, g[0:2] + g[2:4] + g[4:6] + g[6:8])
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((4, 3), (2, 5), (5,)),    # inner dimensions disagree
+        ((4, 3), (3, 5), (4,)),    # bias width is not the output width
+        ((4, 3), (3, 5), (3, 4)),  # tiled bias width too
+        ((4, 3), (3, 5), (3, 5)),  # 3 bias rows do not divide 4 rows
+        ((4, 3), (3, 5), (0, 5)),  # an empty bias block tiles nothing
+        ((4, 3), (3, 5), ()),      # a scalar is not a bias row
+    ])
+    def test_shape_errors(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ShapeError):
+            T.affine(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)),
+                     Tensor(np.zeros(b_shape)))
+
+
 class TestElementwise:
     def test_add_zero_is_identity(self):
         x = Tensor(rng_for(2).standard_normal((3, 3)))
@@ -62,9 +117,11 @@ class TestElementwise:
             T.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
 
     def test_scalar_broadcast(self):
-        x = Tensor([1.0, 2.0])
-        np.testing.assert_array_equal(T.mul(x, 3.0).data, [3.0, 6.0])
-        np.testing.assert_array_equal(T.sub(x, 1.0).data, [0.0, 1.0])
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        out = T.add(x, -1.0)
+        np.testing.assert_array_equal(out.data, [0.0, 1.0])
+        T.reduce_sum(out).backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
 class TestL2NormalizeRows:
@@ -359,12 +416,6 @@ class TestShapeAlgebra:
         np.testing.assert_array_equal(out.data, [[2.0], [3.0]])
         T.reduce_sum(out).backward()
         np.testing.assert_array_equal(x.grad, [[0.0, 0, 1], [1, 0, 0]])
-
-    def test_row_and_col_vector_adds(self):
-        a = Tensor(np.zeros((2, 3)), requires_grad=True)
-        v = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        T.reduce_sum(T.add_rowvec(a, v)).backward()
-        np.testing.assert_array_equal(v.grad, [2.0, 2.0, 2.0])
 
 
 class TestClipArccos:
