@@ -16,7 +16,7 @@ from .data import (
     SphereClusterSpec,
     gen_image_dataset,
     gen_sphere_dataset,
-    sample_vmf,
+    sample_vmf,  # kept importable here; not in __all__, as the generator runs its kernel
 )
 from .encoders import MLPEncoder, ViTConfig, ViTEncoder, patchify
 from .engine import LogRow, embed_dataset, loss_alignment, loss_refinement, loss_stabilization, train
@@ -85,7 +85,6 @@ __all__ = [
     "parse_kv_file",
     "patchify",
     "sample",
-    "sample_vmf",
     "save_checkpoint",
     "softmax_ce_loss",
     "step_scheduler",

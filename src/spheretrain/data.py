@@ -4,8 +4,16 @@ Two levels: unit-sphere feature clusters for loss and scheduler experiments
 without an encoder, and small procedural class-template images for
 end-to-end encoder runs. Everything is driven by Philox counter-based
 generators seeded through SeedSequence spawning, so a given seed produces
-the same bytes on every run and per-identity generation could be
-parallelized without changing the result.
+the same bytes on every run.
+
+Each identity i draws from its own stream, child i + 1 of the seed's
+SeedSequence (child 0 serves the draws shared by all identities: the sphere
+means, the image split), and consumes it in a fixed order whatever else is
+generated alongside. The sphere generator walks the identities in chunks of
+``_CLASS_CHUNK``: it builds one generator per identity of the chunk, draws
+each identity's variates from its own generator, then runs the arithmetic
+once over the whole chunk. The chunk size therefore changes the speed, never
+the bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +24,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, ShapeError
+
+# Identities generated per pass of the sphere kernel: large enough to spread
+# numpy's per-call overhead, small enough to bound the chunk's temporaries.
+_CLASS_CHUNK = 4096
 
 
 @dataclass
@@ -96,80 +108,103 @@ def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_seq))
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+def _normalize_rows(x: np.ndarray) -> None:
+    """Scale every vector along the last axis of ``x`` to unit length, in place."""
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _radial_components(kappa: float, dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Cosine-to-mean samples via the standard rejection scheme (Ulrich 1984 /
-    Wood 1994) with a Beta envelope."""
+def _vmf_rows(out: np.ndarray, means: np.ndarray, kappa: float,
+              rngs: list[np.random.Generator]) -> None:
+    """Fill ``out`` (k, n, dim) with von Mises-Fisher draws about the unit
+    ``means`` (k, dim), block i from ``rngs[i]`` alone, in its stream's order:
+    per rejection round a beta then a uniform draw for its unfilled slots,
+    then its normal draws. The arithmetic runs once over all k blocks.
+
+    The cosine to the mean comes from the Beta-envelope rejection scheme of
+    Ulrich (1984) and Wood (1994); the rest is an isotropic tangent direction.
+    """
+    k, n, dim = out.shape
     d = dim - 1
     b = d / (np.sqrt(4.0 * kappa * kappa + d * d) + 2.0 * kappa)
     x0 = (1.0 - b) / (1.0 + b)
     if not x0 < 1.0:  # then c is not finite (log 0), and no draw would ever be accepted
         raise DomainError(f"cannot sample concentration {kappa} in dimension {dim}")
     c = kappa * x0 + d * np.log(1.0 - x0 * x0)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        todo = n - filled
-        z = rng.beta(d / 2.0, d / 2.0, size=todo)
-        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        u = rng.uniform(size=todo)
+    w = np.empty((k, n))
+    filled = np.zeros(k, dtype=np.int64)
+    while (todo_cls := np.flatnonzero(filled < n)).size:
+        todo = n - filled[todo_cls]
+        z, u = [], []
+        for i, t in zip(todo_cls.tolist(), todo.tolist()):
+            z.append(rngs[i].beta(d / 2.0, d / 2.0, size=t))
+            u.append(rngs[i].uniform(size=t))
+        z, u = np.concatenate(z), np.concatenate(u)
+        drawn = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
         with np.errstate(divide="ignore"):
-            accept = kappa * w + d * np.log(1.0 - x0 * w) - c >= np.log(u)
-        got = int(accept.sum())
-        out[filled : filled + got] = w[accept]
+            accept = kappa * drawn + d * np.log(1.0 - x0 * drawn) - c >= np.log(u)
+        # Accepted draws go to their class's next free slots, in draw order.
+        cls = np.repeat(todo_cls, todo)[accept]
+        got = np.bincount(cls, minlength=k)
+        rank = np.arange(cls.size) - (np.cumsum(got) - got)[cls]
+        w[cls, filled[cls] + rank] = drawn[accept]
         filled += got
-    return out
+    for i, rng in enumerate(rngs):
+        rng.standard_normal((n, dim), out=out[i])
+    out -= (out @ means[:, :, None]) * means[:, None, :]
+    norms = np.linalg.norm(out, axis=2, keepdims=True)
+    for i in np.flatnonzero((norms < 1e-12).any(axis=(1, 2))):  # essentially unreachable
+        while (bad := norms[i, :, 0] < 1e-12).any():  # redraw the degenerate rows
+            fresh = rngs[i].standard_normal((int(bad.sum()), dim))
+            fresh -= np.outer(fresh @ means[i], means[i])
+            out[i, bad] = fresh
+            norms[i] = np.linalg.norm(out[i], axis=1, keepdims=True)
+    out /= norms
+    out *= np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, :, None]
+    out += w[:, :, None] * means[:, None, :]
+    _normalize_rows(out)
 
 
 def sample_vmf(mean: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n unit vectors from a von Mises-Fisher distribution.
-
-    The component along the mean comes from the rejection sampler above; the
-    tangential part is an isotropic direction orthogonal to the mean.
-    """
+    """Draw n unit vectors from a von Mises-Fisher distribution about the unit
+    vector ``mean``, as one block of ``_vmf_rows``."""
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     dim = mean.shape[0]
     if dim < 2:
         raise DomainError("vMF sampling needs dimension >= 2")
     if kappa <= 0:
         raise DomainError(f"concentration must be positive, got {kappa}")
-    if abs(np.linalg.norm(mean) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(mean) - 1.0) <= 1e-9:
         raise DomainError("mean direction must be unit-norm")
-    w = _radial_components(kappa, dim, n, rng)
-    tangent = rng.standard_normal((n, dim))
-    tangent -= np.outer(tangent @ mean, mean)
-    norms = np.linalg.norm(tangent, axis=1, keepdims=True)
-    while np.any(norms < 1e-12):  # essentially unreachable; redraw degenerate rows
-        bad = norms[:, 0] < 1e-12
-        fresh = rng.standard_normal((int(bad.sum()), dim))
-        fresh -= np.outer(fresh @ mean, mean)
-        tangent[bad] = fresh
-        norms = np.linalg.norm(tangent, axis=1, keepdims=True)
-    tangent /= norms
-    samples = w[:, None] * mean + np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None] * tangent
-    return _unit_rows(samples)
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"sample count must be a nonnegative integer, got {n!r}")
+    out = np.empty((1, n, dim))
+    _vmf_rows(out, mean[None], kappa, [rng])
+    return out[0]
 
 
 def gen_sphere_dataset(spec: SphereClusterSpec) -> Dataset:
     """Balanced unit-sphere clusters: uniform mean directions, then one
-    concentrated cluster per identity."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.num_classes + 1)
-    mean_rng = _generator(children[0])
-    means = _unit_rows(mean_rng.standard_normal((spec.num_classes, spec.dim)))
-    blocks = []
-    for cls in range(spec.num_classes):
-        rng = _generator(children[cls + 1])
+    concentrated cluster per identity, ``_CLASS_CHUNK`` identities at a time."""
+    classes, n, dim = spec.num_classes, spec.samples_per_class, spec.dim
+    means = _generator(np.random.SeedSequence(spec.seed, spawn_key=(0,))).standard_normal(
+        (classes, dim))
+    _normalize_rows(means)
+    features = np.empty((classes * n, dim))
+    for lo in range(0, classes, _CLASS_CHUNK):
+        hi = min(lo + _CLASS_CHUNK, classes)
+        rngs = [_generator(np.random.SeedSequence(spec.seed, spawn_key=(cls + 1,)))
+                for cls in range(lo, hi)]
+        out = features[lo * n : hi * n].reshape(hi - lo, n, dim)
         if spec.distribution == "vmf":
-            blocks.append(sample_vmf(means[cls], spec.kappa, spec.samples_per_class, rng))
+            _vmf_rows(out, means[lo:hi], spec.kappa, rngs)
         else:
-            noise = rng.standard_normal((spec.samples_per_class, spec.dim))
-            blocks.append(_unit_rows(means[cls] + noise / np.sqrt(spec.kappa)))
-    features = np.concatenate(blocks, axis=0)
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.samples_per_class)
-    return Dataset(inputs=features, labels=labels, num_classes=spec.num_classes)
+            for i, rng in enumerate(rngs):
+                rng.standard_normal((n, dim), out=out[i])
+            out /= np.sqrt(spec.kappa)
+            out += means[lo:hi, None, :]
+            _normalize_rows(out)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), n)
+    return Dataset(inputs=features, labels=labels, num_classes=classes)
 
 
 @dataclass

@@ -23,6 +23,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -120,12 +121,28 @@ def write_pairs(path: str | Path, pairs: PairSet) -> None:
 
 
 def read_pairs(path: str | Path) -> PairSet:
+    """The pair table parsed in one pass over all its fields; a table that
+    fails any rule is rescanned line by line to name the first bad line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != "id_a,id_b,is_match":
         raise FileFormatError(f"{path}: expected header 'id_a,id_b,is_match'")
+    body = list(filter(str.strip, lines[1:]))
+    try:
+        if list(map(str.count, body, repeat(","))).count(2) == len(body):
+            fields = list(map(int, ",".join(body).split(",")))
+            a, b, flag = np.array(fields, dtype=np.int64).reshape(-1, 3).T
+            if (((flag == 0) | (flag == 1)) & (a != b) & (a >= 0) & (b >= 0)).all():
+                return PairSet(a, b, flag)
+    except (ValueError, OverflowError):  # a non-integer field, or one beyond int64
+        pass
+    return _read_pair_lines(path, lines)
+
+
+def _read_pair_lines(path: str | Path, lines: list[str]) -> PairSet:
+    """The pair table read line by line; raises for the first bad line."""
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

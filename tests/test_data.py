@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spheretrain import data
 from spheretrain.data import (
     ImageClassSpec,
     SphereClusterSpec,
@@ -51,6 +54,19 @@ class TestSampleVmf:
     def test_non_unit_mean_rejected(self):
         with pytest.raises(DomainError):
             sample_vmf(np.array([2.0, 0.0]), 1.0, 5, rng_for(4))
+
+    @pytest.mark.parametrize("mean", [[np.nan, 0.0], [np.inf, 0.0], [np.nan, np.nan]])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(DomainError):
+            sample_vmf(np.array(mean), 1.0, 3, rng_for(4))
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 3.0, "3", None])
+    def test_bad_sample_count_rejected(self, n):
+        with pytest.raises(DomainError):
+            sample_vmf(unit([1.0, 0.0]), 1.0, n, rng_for(4))
+
+    def test_zero_samples(self):
+        assert sample_vmf(unit([1.0, 2.0, 2.0]), 1.0, 0, rng_for(4)).shape == (0, 3)
 
     def test_circle_case_works(self):
         out = sample_vmf(unit([0.0, 1.0]), 10.0, 200, rng_for(5))
@@ -158,3 +174,151 @@ class TestImageDataset:
         for i in range(4):
             for j in range(i + 1, 4):
                 assert np.abs(templates[i] - templates[j]).max() > 0.05
+
+
+# The per-class generator as it stood before the batched kernel, kept verbatim
+# (names prefixed) as the byte oracle for ``gen_sphere_dataset`` and
+# ``sample_vmf``.
+
+
+def _oracle_generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(seed_seq))
+
+
+def _oracle_unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _oracle_radial_components(kappa: float, dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    d = dim - 1
+    b = d / (np.sqrt(4.0 * kappa * kappa + d * d) + 2.0 * kappa)
+    x0 = (1.0 - b) / (1.0 + b)
+    if not x0 < 1.0:
+        raise DomainError(f"cannot sample concentration {kappa} in dimension {dim}")
+    c = kappa * x0 + d * np.log(1.0 - x0 * x0)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        todo = n - filled
+        z = rng.beta(d / 2.0, d / 2.0, size=todo)
+        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        u = rng.uniform(size=todo)
+        with np.errstate(divide="ignore"):
+            accept = kappa * w + d * np.log(1.0 - x0 * w) - c >= np.log(u)
+        got = int(accept.sum())
+        out[filled : filled + got] = w[accept]
+        filled += got
+    return out
+
+
+def oracle_sample_vmf(mean: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+    dim = mean.shape[0]
+    w = _oracle_radial_components(kappa, dim, n, rng)
+    tangent = rng.standard_normal((n, dim))
+    tangent -= np.outer(tangent @ mean, mean)
+    norms = np.linalg.norm(tangent, axis=1, keepdims=True)
+    while np.any(norms < 1e-12):
+        bad = norms[:, 0] < 1e-12
+        fresh = rng.standard_normal((int(bad.sum()), dim))
+        fresh -= np.outer(fresh @ mean, mean)
+        tangent[bad] = fresh
+        norms = np.linalg.norm(tangent, axis=1, keepdims=True)
+    tangent /= norms
+    samples = w[:, None] * mean + np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None] * tangent
+    return _oracle_unit_rows(samples)
+
+
+def oracle_sphere_features(spec: SphereClusterSpec) -> np.ndarray:
+    children = np.random.SeedSequence(spec.seed).spawn(spec.num_classes + 1)
+    mean_rng = _oracle_generator(children[0])
+    means = _oracle_unit_rows(mean_rng.standard_normal((spec.num_classes, spec.dim)))
+    blocks = []
+    for cls in range(spec.num_classes):
+        rng = _oracle_generator(children[cls + 1])
+        if spec.distribution == "vmf":
+            blocks.append(oracle_sample_vmf(means[cls], spec.kappa, spec.samples_per_class, rng))
+        else:
+            noise = rng.standard_normal((spec.samples_per_class, spec.dim))
+            blocks.append(_oracle_unit_rows(means[cls] + noise / np.sqrt(spec.kappa)))
+    return np.concatenate(blocks, axis=0)
+
+
+class ParallelFirstDraw:
+    """A generator whose first normal row is a multiple of ``mean``, so its
+    tangent is degenerate and must be redrawn; everything else is Philox."""
+
+    def __init__(self, mean, seed):
+        self.rng, self.mean, self.first = rng_for(seed), np.asarray(mean), True
+
+    def beta(self, *args, **kwargs):
+        return self.rng.beta(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+    def standard_normal(self, size, out=None):
+        draw = self.rng.standard_normal(size)
+        if self.first:
+            draw[0], self.first = 3.0 * self.mean, False
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
+
+
+SPHERE_SPECS = st.builds(
+    SphereClusterSpec,
+    num_classes=st.integers(2, 12),
+    dim=st.integers(2, 40),
+    kappa=st.floats(-2.0, 5.0).map(lambda e: 10.0**e),
+    samples_per_class=st.integers(1, 9),
+    seed=st.integers(0, 2**32),
+    distribution=st.sampled_from(["vmf", "gaussian"]),
+)
+
+
+class TestBatchedGeneratorBytes:
+    """The chunked kernel reproduces the per-class loop byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=SPHERE_SPECS)
+    @example(spec=SphereClusterSpec(num_classes=9, dim=2, kappa=0.01, samples_per_class=9))
+    @example(spec=SphereClusterSpec(num_classes=3, dim=2, kappa=0.05, samples_per_class=1,
+                                    seed=5, distribution="gaussian"))
+    def test_dataset_matches_per_class_loop(self, spec):
+        assert gen_sphere_dataset(spec).inputs.tobytes() == oracle_sphere_features(spec).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 40), kappa=st.floats(-2.0, 5.0).map(lambda e: 10.0**e),
+           n=st.integers(0, 50), seed=st.integers(0, 2**32))
+    @example(dim=2, kappa=0.01, n=50, seed=0)
+    def test_sample_vmf_matches_per_class_loop(self, dim, kappa, n, seed):
+        mean = unit(rng_for(seed).standard_normal(dim))
+        got = sample_vmf(mean, kappa, n, rng_for(seed + 1))
+        assert got.tobytes() == oracle_sample_vmf(mean, kappa, n, rng_for(seed + 1)).tobytes()
+
+    def test_degenerate_tangent_redrawn_from_its_own_stream(self):
+        dim, n, kappa = 5, 6, 4.0
+        means = np.stack([unit(rng_for(s).standard_normal(dim)) for s in (10, 11, 12)])
+        out = np.empty((3, n, dim))
+        rngs = [rng_for(20), ParallelFirstDraw(means[1], 21), rng_for(22)]
+        data._vmf_rows(out, means, kappa, rngs)
+        expected = [oracle_sample_vmf(means[0], kappa, n, rng_for(20)),
+                    oracle_sample_vmf(means[1], kappa, n, ParallelFirstDraw(means[1], 21)),
+                    oracle_sample_vmf(means[2], kappa, n, rng_for(22))]
+        assert out.tobytes() == np.stack(expected).tobytes()
+        np.testing.assert_allclose(np.linalg.norm(out, axis=2), 1.0, atol=1e-12)
+        single = sample_vmf(means[1], kappa, n, ParallelFirstDraw(means[1], 21))
+        assert single.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("num_classes", [2, 7, 10])
+    @pytest.mark.parametrize("distribution", ["vmf", "gaussian"])
+    def test_chunk_boundaries_do_not_change_bytes(self, monkeypatch, chunk, num_classes,
+                                                  distribution):
+        spec = SphereClusterSpec(num_classes=num_classes, dim=6, kappa=2.0,
+                                 samples_per_class=5, seed=3, distribution=distribution)
+        default = gen_sphere_dataset(spec).inputs.tobytes()
+        monkeypatch.setattr(data, "_CLASS_CHUNK", chunk)
+        assert gen_sphere_dataset(spec).inputs.tobytes() == default

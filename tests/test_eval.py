@@ -1,5 +1,6 @@
 import builtins
 import errno
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +367,42 @@ class TestVerificationPairs:
         assert report.intra_mean_cos > report.inter_mean_cos
 
 
+# Field values for the pair-table fuzz: what ``int()`` accepts beyond plain
+# digits (signs, padding, underscores, non-ASCII digits), out-of-range values,
+# and non-integers.
+PAIR_FIELDS = ["0", "1", "2", "7", "-1", " 3", "+4", "1_0", "\u0661", "01",
+               "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+               "2", "x", "", "1.0", "1e3"]
+
+
+def oracle_read_pairs(path):
+    """``read_pairs`` as the line-by-line loop it was before the one-pass
+    parse; the fuzz test's oracle."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not lines or lines[0].strip() != "id_a,id_b,is_match":
+        raise FileFormatError(f"{path}: expected header 'id_a,id_b,is_match'")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise FileFormatError(f"{path}:{lineno}: expected three comma-separated fields")
+        try:
+            a, b, flag = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: non-integer field") from exc
+        if flag not in (0, 1):
+            raise FileFormatError(f"{path}:{lineno}: is_match must be 0 or 1")
+        if a == b or min(a, b) < 0 or max(a, b) >= 2**63:
+            raise FileFormatError(f"{path}:{lineno}: need two distinct indices in [0, 2**63)")
+        rows.append((a, b, flag))
+    return PairSet(*np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
 class TestFileFormats:
     def test_embedding_round_trip_bit_identical(self, tmp_path):
         rng = rng_for(12)
@@ -431,6 +468,47 @@ class TestFileFormats:
         path.write_text(f"id_a,id_b,is_match\n0,1,1\n\n{line}\n")
         with pytest.raises(FileFormatError, match=r"pairs\.csv:4: "):
             read_pairs(path)
+
+    @pytest.mark.parametrize("line, what", [
+        ("0,1", "expected three comma-separated fields"),
+        ("0,1,1,1", "expected three comma-separated fields"),
+        ("0,x,1", "non-integer field"),
+        ("0,1,", "non-integer field"),
+        ("0,1,2", "is_match must be 0 or 1"),
+    ])
+    def test_pairs_bad_row_names_its_line(self, tmp_path, line, what):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"id_a,id_b,is_match\n0,1,1\n\n{line}\n2,3,0\n")
+        with pytest.raises(FileFormatError, match=rf"pairs\.csv:4: {what}"):
+            read_pairs(path)
+
+    def test_pairs_header_only(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("id_a,id_b,is_match\n\n")
+        got = read_pairs(path)
+        assert got.index_a.shape == (0,) and got.index_a.dtype == np.int64
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.one_of(
+        st.lists(st.sampled_from(PAIR_FIELDS), min_size=1, max_size=5).map(",".join),
+        st.sampled_from(["", "  ", "\t"]),
+    ), max_size=8))
+    @example(rows=["0,1,1,1", "2,3"])
+    @example(rows=["0,1", "2,3,1,1", "4,5,0"])
+    def test_pairs_match_line_loop(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("pairs") / "p.csv"
+        path.write_text("id_a,id_b,is_match\n" + "\n".join(rows), encoding="utf-8")
+        try:
+            expected = oracle_read_pairs(path)
+        except FileFormatError as exc:
+            with pytest.raises(FileFormatError) as got:
+                read_pairs(path)
+            assert str(got.value) == str(exc)
+            return
+        got = read_pairs(path)
+        for name in ("index_a", "index_b", "is_match"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
     def test_projection_csv(self, tmp_path):
         rng = rng_for(14)
