@@ -3,22 +3,26 @@
 Two levels: unit-sphere feature clusters for loss and scheduler experiments
 without an encoder, and small procedural class-template images for
 end-to-end encoder runs. Everything is driven by Philox counter-based
-generators seeded through SeedSequence spawning, so a given seed produces
+generators keyed through SeedSequence spawning, so a given seed produces
 the same bytes on every run.
 
-Each identity i draws from its own stream, child i + 1 of the seed's
-SeedSequence (child 0 serves the draws shared by all identities: the sphere
-means, the image split), and consumes it in a fixed order whatever else is
-generated alongside. The sphere generator walks the identities in chunks of
-``_CLASS_CHUNK``: it builds one generator per identity of the chunk, draws
-each identity's variates from its own generator, then runs the arithmetic
-once over the whole chunk. The chunk size therefore changes the speed, never
-the bytes.
+Each identity i draws from its own stream, the one numpy's
+``SeedSequence(seed, spawn_key=(i + 1,))`` keys (key 0 serves the draws
+shared by all identities: the sphere means, the image split), and consumes
+it in a fixed order whatever else is generated alongside. ``_spawn_keys``
+derives every identity's Philox key in one vectorized pass of numpy's seed
+hash, and a few generators are re-keyed in place instead of one being built
+per identity. The sphere generator walks the identities in chunks of
+``_CLASS_CHUNK``: it re-keys one pooled generator per identity of the chunk,
+draws each identity's variates from its own generator, then runs the
+arithmetic once over the whole chunk. The chunk size therefore changes the
+speed, never the bytes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,8 +30,20 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 # Identities generated per pass of the sphere kernel: large enough to spread
-# numpy's per-call overhead, small enough to bound the chunk's temporaries.
+# numpy's per-call overhead, small enough to bound the chunk's temporaries
+# and the number of live generators, one per identity of a chunk.
 _CLASS_CHUNK = 4096
+
+# Spawn keys 0..num_classes must each be one uint32 word, the range in which
+# ``_spawn_keys`` reproduces numpy's seed hash.
+_MAX_CLASSES = 2**32 - 2
+
+# numpy's SeedSequence hash (NEP 19): pool size and 32-bit hash constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass
@@ -92,8 +108,8 @@ class ImageClassSpec:
 
 
 def _check_spec(spec, counts: tuple[str, ...]) -> None:
-    """Reject a non-finite float field, any of ``counts`` below 1 and a
-    negative seed."""
+    """Reject a non-finite float field, any of ``counts`` below 1, a negative
+    seed and more identities than ``_MAX_CLASSES``."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         if isinstance(value, float) and not math.isfinite(value):
@@ -102,10 +118,90 @@ def _check_spec(spec, counts: tuple[str, ...]) -> None:
             raise DomainError(f"{f.name} must be at least 1, got {value}")
     if spec.seed < 0:
         raise DomainError(f"seed must be nonnegative, got {spec.seed}")
+    if spec.num_classes > _MAX_CLASSES:
+        raise DomainError(f"num_classes must be at most {_MAX_CLASSES}, got {spec.num_classes}")
 
 
-def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
+def _hasher(hash_const: int, mult: int):
+    """numpy's ``hashmix`` with its running 32-bit constant: each call xors the
+    words with the constant, advances it by ``mult``, multiplies and
+    xor-shifts."""
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _spawn_keys(seed: int, ids: np.ndarray) -> np.ndarray:
+    """The (len(ids), 2) uint64 Philox keys whose row j equals
+    ``SeedSequence(seed, spawn_key=(ids[j],)).generate_state(2, np.uint64)``,
+    for ids below 2**32.
+
+    This is numpy's pool mix and ``generate_state`` over uint32 words. Every
+    hash constant is independent of the data and the spawn key is the last
+    entropy word, so the seed's words are mixed once, as (1,) arrays, and only
+    the spawn key's mix and the output hash run over all the ids.
+    """
+    seed = operator.index(seed)
+    entropy = [np.array([seed >> shift & _MASK32], dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # A spawned SeedSequence pads its seed to the pool size before the key.
+    entropy += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    entropy.append(np.asarray(ids, dtype=np.uint32))
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words = np.empty((len(entropy[-1]), _POOL_SIZE), dtype="<u4")
+    output_hash = _hasher(_INIT_B, _MULT_B)
+    for i, value in enumerate(pool):
+        words[:, i] = output_hash(value)
+    return words.view("<u8").astype(np.uint64)
+
+
+def _generators(count: int) -> list[np.random.Generator]:
+    """``count`` Philox generators, each to be given its stream by ``_rekey``."""
+    return [np.random.Generator(np.random.Philox(0)) for _ in range(count)]
+
+
+def _rekey(rng: np.random.Generator, key: list[int]) -> None:
+    """Put ``rng`` in the state of a fresh ``Philox`` keyed by the two words
+    ``key``: counter 0 and nothing buffered, so it draws exactly what that
+    generator would. (Python ints set the state faster than numpy arrays.)"""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _allocate(classes: int, n: int, sample_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialized float64 inputs for ``n`` samples of each of ``classes``
+    identities and their labels. Called before any seeding, so that a dataset
+    too large to hold fails at once as a ``DomainError``."""
+    try:
+        return (np.empty((classes * n, *sample_shape)),
+                np.repeat(np.arange(classes, dtype=np.int64), n))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise DomainError(
+            f"{classes} identities x {n} samples of shape {sample_shape} do not fit in memory"
+        ) from exc
 
 
 def _normalize_rows(x: np.ndarray) -> None:
@@ -137,7 +233,9 @@ def _vmf_rows(out: np.ndarray, means: np.ndarray, kappa: float,
         z, u = [], []
         for i, t in zip(todo_cls.tolist(), todo.tolist()):
             z.append(rngs[i].beta(d / 2.0, d / 2.0, size=t))
-            u.append(rngs[i].uniform(size=t))
+            # The same doubles as uniform(size=t), 0.0 + 1.0 * u, without its
+            # argument checks, which cost more than the draw.
+            u.append(rngs[i].random(t))
         z, u = np.concatenate(z), np.concatenate(u)
         drawn = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
         with np.errstate(divide="ignore"):
@@ -186,24 +284,26 @@ def gen_sphere_dataset(spec: SphereClusterSpec) -> Dataset:
     """Balanced unit-sphere clusters: uniform mean directions, then one
     concentrated cluster per identity, ``_CLASS_CHUNK`` identities at a time."""
     classes, n, dim = spec.num_classes, spec.samples_per_class, spec.dim
-    means = _generator(np.random.SeedSequence(spec.seed, spawn_key=(0,))).standard_normal(
-        (classes, dim))
+    features, labels = _allocate(classes, n, (dim,))
+    keys = _spawn_keys(spec.seed, np.arange(classes + 1, dtype=np.uint32))
+    rngs = _generators(min(classes, _CLASS_CHUNK))
+    _rekey(rngs[0], keys[0].tolist())
+    means = rngs[0].standard_normal((classes, dim))
     _normalize_rows(means)
-    features = np.empty((classes * n, dim))
     for lo in range(0, classes, _CLASS_CHUNK):
         hi = min(lo + _CLASS_CHUNK, classes)
-        rngs = [_generator(np.random.SeedSequence(spec.seed, spawn_key=(cls + 1,)))
-                for cls in range(lo, hi)]
+        for rng, key in zip(rngs, keys[lo + 1 : hi + 1].tolist()):
+            _rekey(rng, key)
+        chunk = rngs[: hi - lo]
         out = features[lo * n : hi * n].reshape(hi - lo, n, dim)
         if spec.distribution == "vmf":
-            _vmf_rows(out, means[lo:hi], spec.kappa, rngs)
+            _vmf_rows(out, means[lo:hi], spec.kappa, chunk)
         else:
-            for i, rng in enumerate(rngs):
+            for i, rng in enumerate(chunk):
                 rng.standard_normal((n, dim), out=out[i])
             out /= np.sqrt(spec.kappa)
             out += means[lo:hi, None, :]
             _normalize_rows(out)
-    labels = np.repeat(np.arange(classes, dtype=np.int64), n)
     return Dataset(inputs=features, labels=labels, num_classes=classes)
 
 
@@ -259,15 +359,14 @@ def _smooth_template(width: int, channels: int, rng: np.random.Generator) -> np.
 def gen_image_dataset(spec: ImageClassSpec) -> ImageDataset:
     """Per-identity smooth templates plus translation jitter and pixel noise,
     clamped to [0, 1]; the eval split is identity-stratified by sample id."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.num_classes + 1)
-    split_rng = _generator(children[0])
-    n_total = spec.num_classes * spec.samples_per_class
-    images = np.empty(
-        (n_total, spec.image_width, spec.image_width, spec.channels), dtype=np.float64
-    )
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.samples_per_class)
+    images, labels = _allocate(spec.num_classes, spec.samples_per_class,
+                               (spec.image_width, spec.image_width, spec.channels))
+    n_total = images.shape[0]
+    keys = _spawn_keys(spec.seed, np.arange(spec.num_classes + 1, dtype=np.uint32)).tolist()
+    split_rng, rng = _generators(2)
+    _rekey(split_rng, keys[0])
     for cls in range(spec.num_classes):
-        rng = _generator(children[cls + 1])
+        _rekey(rng, keys[cls + 1])
         template = _smooth_template(spec.image_width, spec.channels, rng)
         base = cls * spec.samples_per_class
         for k in range(spec.samples_per_class):

@@ -310,10 +310,22 @@ class TestDataAndEvalCommands:
         "jitter = 100000000000000000000\n",
         "dataset = images\nnum_classes = 2\nimage_width = 8\nsamples_per_class = 2\n"
         "jitter = 9\n",
+        "dataset = sphere\nnum_classes = 1000000000000\ndim = 8\nkappa = 10\n"
+        "samples_per_class = 2\n",
+        "dataset = sphere\nnum_classes = 2147483648\ndim = 1000\nkappa = 10\n"
+        "samples_per_class = 1000\n",
+        "dataset = sphere\nnum_classes = 3\ndim = 8\nkappa = 10\n"
+        "samples_per_class = 1000000000000000000\n",
+        "dataset = images\nnum_classes = 1000000000000\nimage_width = 8\n"
+        "samples_per_class = 2\n",
+        "dataset = images\nnum_classes = 2147483648\nimage_width = 64\n"
+        "samples_per_class = 1000\n",
     ], ids=["kappa-nan", "kappa-inf", "kappa-1e17", "sphere-negative-count",
             "sphere-zero-count", "negative-pair-cap", "images-negative-count",
             "images-zero-count", "zero-width", "noise-nan", "sphere-negative-seed",
-            "images-negative-seed", "jitter-1e20", "jitter-above-width"])
+            "images-negative-seed", "jitter-1e20", "jitter-above-width",
+            "sphere-1e12-classes", "sphere-2e31-classes", "sphere-1e18-samples",
+            "images-1e12-classes", "images-2e31-classes"])
     def test_gen_data_rejects_what_cannot_be_generated(self, tmp_path, spec):
         # A subprocess with a timeout, so that a spec that never finishes
         # fails this test instead of blocking the suite.

@@ -130,6 +130,17 @@ class TestSphereDataset:
             SphereClusterSpec(num_classes=2, dim=4, kappa=0.0, samples_per_class=2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda c: SphereClusterSpec(num_classes=c, dim=4, kappa=1.0, samples_per_class=2),
+    lambda c: ImageClassSpec(num_classes=c, image_width=8, samples_per_class=2),
+], ids=["sphere", "images"])
+def test_class_count_limited_to_one_word_spawn_keys(build):
+    assert build(2**32 - 2).num_classes == 2**32 - 2
+    for classes in (2**32 - 1, 10**12):
+        with pytest.raises(DomainError, match="num_classes must be at most"):
+            build(classes)
+
+
 class TestImageDataset:
     def spec(self, **overrides):
         base = dict(num_classes=4, image_width=8, samples_per_class=10,
@@ -257,6 +268,9 @@ class ParallelFirstDraw:
     def uniform(self, *args, **kwargs):
         return self.rng.uniform(*args, **kwargs)
 
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
     def standard_normal(self, size, out=None):
         draw = self.rng.standard_normal(size)
         if self.first:
@@ -273,7 +287,7 @@ SPHERE_SPECS = st.builds(
     dim=st.integers(2, 40),
     kappa=st.floats(-2.0, 5.0).map(lambda e: 10.0**e),
     samples_per_class=st.integers(1, 9),
-    seed=st.integers(0, 2**32),
+    seed=st.integers(0, 2**160),
     distribution=st.sampled_from(["vmf", "gaussian"]),
 )
 
@@ -322,3 +336,38 @@ class TestBatchedGeneratorBytes:
         default = gen_sphere_dataset(spec).inputs.tobytes()
         monkeypatch.setattr(data, "_CLASS_CHUNK", chunk)
         assert gen_sphere_dataset(spec).inputs.tobytes() == default
+
+
+class TestSpawnKeys:
+    """``_spawn_keys`` and ``_rekey`` reproduce numpy's spawned Philox streams."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**160),
+           ids=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+    @example(seed=2**128 + 1, ids=[0, 1, 2**32 - 1])
+    @example(seed=0, ids=[0])
+    def test_keys_match_seed_sequence(self, seed, ids):
+        expected = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+                    for i in ids]
+        got = data._spawn_keys(seed, np.array(ids, dtype=np.uint32))
+        assert got.dtype == np.uint64
+        assert got.tobytes() == np.stack(expected).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, 2**128 + 1])
+    def test_rekeyed_pool_draws_as_a_fresh_generator(self, seed):
+        def draws(gen):
+            return b"".join(a.tobytes() for a in (
+                gen.beta(2.5, 2.5, size=4), gen.uniform(size=3), gen.standard_normal(5),
+                gen.integers(0, 2**32, size=4, dtype=np.uint32)))
+
+        keys = data._spawn_keys(seed, np.arange(6, dtype=np.uint32)).tolist()
+        pool = data._generators(2)
+        for i, key in enumerate(keys):
+            rng = pool[i % 2]
+            # An odd count of 32-bit draws leaves half a 64-bit word buffered
+            # (has_uint32 set), which the re-key must discard.
+            rng.integers(0, 2**32, size=3, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            data._rekey(rng, key)
+            fresh = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+            assert draws(rng) == draws(fresh)
