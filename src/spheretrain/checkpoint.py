@@ -1,32 +1,28 @@
-"""Versioned binary checkpoints.
+"""Versioned checkpoints: format 4, a zip archive of ``.npy`` members.
 
-Layout: the 4-byte magic ``LVPC``, a little-endian u32 format version, then
-seven length-prefixed sections in fixed order: encoder, classifier,
-prototypes, optimizer, scheduler, rng, config. Every section is a u64
-little-endian byte length followed by the payload; a payload is a u32 length
-plus a sorted-keys JSON header (array names/shapes and scalar metadata)
-followed by the arrays' raw bytes as little-endian float64 in header order.
-The prototypes section's metadata names the logistic mixing activation, the
-only one there is. Round trips are bit-exact, which is what makes resumed
-runs reproduce uninterrupted ones. The file is written through
-``fileio.atomic_write``, so a failed save leaves the previous file whole.
-Every malformed file raises ``FileFormatError``.
+The archive holds ``meta.json`` (sorted-keys JSON of the format version,
+encoder architecture, optimizer step counts, scheduler stage, Philox state,
+config and the prototypes' ``logistic`` activation) and one npy 1.0 file per
+array: ``classifier.npy``, ``prototypes.npy``, ``prototypes_initialized.npy``
+(bool), ``encoder/<name>.npy`` and ``optimizer/<key>.npy``, the rest float64.
+Members are stored uncompressed, sorted, with the fixed timestamp 1980-01-01
+00:00, so identical checkpoints are identical files. Arrays are written from
+their own buffers, column-major ones too, and read straight into the arrays
+returned: round trips are bit-exact, so resumed runs reproduce uninterrupted
+ones. Saves go through ``fileio.atomic_write``, fsynced before the rename.
 
-Version 2 names each ViT layer's attention parameters ``attn_qkv.w`` /
-``attn_qkv.b`` (one fused q/k/v projection) where version 1 had per-head
-``head{h}.w{q,k,v}`` / ``head{h}.b{q,k,v}``. Version 3 keeps the encoder
-section's per-name arrays, but its optimizer section holds the encoder's
-moments as two flat (P,) arrays ``encoder.m`` / ``encoder.v`` in
-parameter declaration order with one step count ``encoder``, where version
-2 had a moment pair and a count per parameter. Files of any other version,
-versions 1 and 2 included, are rejected with a ``FileFormatError`` naming
-it: a version-2 file would resume with the encoder's moments silently reset.
+``zipfile`` checks a member's CRC-32 when it is read to its end, and every
+member is; each array's dtype and size are checked before it is allocated.
+Every malformed file raises ``FileFormatError``; versions 1-3 (``LVPC`` files)
+and any other are rejected by number.
 """
 
 from __future__ import annotations
 
 import json
-import struct
+import math
+import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,10 +32,10 @@ from .errors import FileFormatError
 from .fileio import atomic_write
 from .scheduler import Phase, StageState
 
-MAGIC = b"LVPC"
-FORMAT_VERSION = 3
-_SECTIONS = ("encoder", "classifier", "prototypes", "optimizer", "scheduler", "rng", "config")
-_PROTOTYPE_META = {"activation": "logistic"}
+MAGIC = b"PK\x03\x04"  # a zip archive's first local file header
+FORMAT_VERSION = 4
+_STAMP = (1980, 1, 1, 0, 0, 0)
+_CHUNK = 1 << 18  # bytes read at a time into an array
 
 
 @dataclass
@@ -57,161 +53,86 @@ class Checkpoint:
     version: int = FORMAT_VERSION
 
 
-def _encode_section(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    names = sorted(arrays)
-    header = {
-        "meta": meta,
-        "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
-    }
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = bytearray(struct.pack("<I", len(head)))
-    blob += head
-    for n in names:
-        blob += np.ascontiguousarray(arrays[n], dtype="<f8").tobytes()
-    return bytes(blob)
-
-
-def _decode_section(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    if len(payload) < 4:
-        raise FileFormatError("truncated checkpoint section")
-    (head_len,) = struct.unpack_from("<I", payload, 0)
-    head_end = 4 + head_len
-    if head_end > len(payload):
-        raise FileFormatError("checkpoint section header overruns payload")
-    header = json.loads(payload[4:head_end].decode("utf-8"))
-    arrays: dict[str, np.ndarray] = {}
-    offset = head_end
-    for entry in header["arrays"]:
-        shape = tuple(int(v) for v in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(payload):
-            raise FileFormatError(f"array {entry['name']!r} overruns section payload")
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        arrays[entry["name"]] = arr.astype(np.float64, copy=True)
-        offset += nbytes
-    if offset != len(payload):
-        raise FileFormatError("trailing bytes in checkpoint section")
-    return header["meta"], arrays
-
-
-def _rng_state_to_json(state: dict) -> dict:
-    def convert(value):
-        if isinstance(value, np.ndarray):
-            return {"__array__": value.dtype.str, "data": [int(v) for v in value]}
-        if isinstance(value, (np.integer,)):
-            return int(value)
-        if isinstance(value, dict):
-            return {k: convert(v) for k, v in value.items()}
-        return value
-
-    return convert(state)
-
-
-def _rng_state_from_json(state: dict):
-    def convert(value):
-        if isinstance(value, dict):
-            if "__array__" in value:
-                return np.asarray(value["data"], dtype=np.dtype(value["__array__"]))
-            return {k: convert(v) for k, v in value.items()}
-        return value
-
-    return convert(state)
+def _dtype(member: str) -> np.dtype:
+    return np.dtype(bool if member == "prototypes_initialized.npy" else np.float64)
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    sections: dict[str, bytes] = {}
-    sections["encoder"] = _encode_section({"arch": ckpt.encoder_arch}, ckpt.encoder_arrays)
-    sections["classifier"] = _encode_section({}, {"weight": ckpt.classifier})
-    sections["prototypes"] = _encode_section(
-        _PROTOTYPE_META,
-        {
-            "E": ckpt.prototypes,
-            "initialized": ckpt.prototypes_initialized.astype(np.float64),
-        },
-    )
-    sections["optimizer"] = _encode_section(
-        {"counts": {k: int(v) for k, v in sorted(ckpt.optimizer_counts.items())}},
-        ckpt.optimizer_arrays,
-    )
-    sections["scheduler"] = _encode_section(
-        {
-            "phase": ckpt.stage.phase.value,
-            "css_raw": ckpt.stage.css_raw,
-            "css_smoothed": ckpt.stage.css_smoothed,
-            "iteration": ckpt.stage.iteration,
-        },
-        {},
-    )
-    sections["rng"] = _encode_section({"state": _rng_state_to_json(ckpt.rng_state)}, {})
-    sections["config"] = _encode_section({"config": ckpt.config}, {})
-
+    meta = {"version": ckpt.version, "arch": ckpt.encoder_arch, "rng": ckpt.rng_state,
+            "counts": {k: int(v) for k, v in ckpt.optimizer_counts.items()},
+            "stage": {**vars(ckpt.stage), "phase": ckpt.stage.phase.value},
+            "config": ckpt.config, "activation": "logistic"}
+    arrays = {"classifier": ckpt.classifier, "prototypes": ckpt.prototypes,
+              "prototypes_initialized": ckpt.prototypes_initialized,
+              **{f"encoder/{k}": v for k, v in ckpt.encoder_arrays.items()},
+              **{f"optimizer/{k}": v for k, v in ckpt.optimizer_arrays.items()}}
     with atomic_write(path) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", ckpt.version))
-        for name in _SECTIONS:
-            payload = sections[name]
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+        with zipfile.ZipFile(fh, "w") as zf:
+            text = json.dumps(meta, sort_keys=True, default=np.ndarray.tolist)
+            zf.writestr(zipfile.ZipInfo("meta.json", _STAMP), text)
+            for name in sorted(arrays):
+                info = zipfile.ZipInfo(f"{name}.npy", _STAMP)
+                arr = np.asarray(arrays[name], dtype=_dtype(info.filename))
+                info.file_size = arr.nbytes  # so that zipfile picks zip64 past 2 GiB
+                with zf.open(info, "w") as member:
+                    np.lib.format.write_array(member, arr, version=(1, 0), allow_pickle=False)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _read_array(zf: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:
+    """The member's array, read to the member's end, where its CRC is checked."""
+    where, dtype = f"{zf.filename}: member {info.filename!r}", _dtype(info.filename)
+    with zf.open(info) as member:
+        if np.lib.format.read_magic(member) != (1, 0):
+            raise FileFormatError(f"{where} is not an npy 1.0 file")
+        shape, fortran_order, found = np.lib.format.read_array_header_1_0(member)
+        if found != dtype or math.prod(shape) * dtype.itemsize != info.file_size - member.tell():
+            raise FileFormatError(f"{where} is not a {dtype} array filling it: {found} {shape}")
+        arr = np.empty(shape, dtype, order="F" if fortran_order else "C")
+        flat = arr.reshape(-1, order="A").view(np.uint8)
+        got = sum(member.readinto(flat[lo : lo + _CHUNK]) for lo in range(0, flat.size, _CHUNK))
+        if got != flat.size or member.read(1):
+            raise FileFormatError(f"{where} does not hold its array")
+    return arr
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise FileFormatError(f"{path}: not a checkpoint file (bad magic)")
-    try:
-        (version,) = struct.unpack_from("<I", raw, 4)
-        if version != FORMAT_VERSION:
-            raise FileFormatError(
-                f"{path}: unsupported checkpoint version {version}; this build reads "
-                f"version {FORMAT_VERSION}"
-            )
-        offset = 8
-        payloads: dict[str, bytes] = {}
-        for name in _SECTIONS:
-            if offset + 8 > len(raw):
-                raise FileFormatError(f"{path}: missing section {name!r}")
-            (length,) = struct.unpack_from("<Q", raw, offset)
-            offset += 8
-            if offset + length > len(raw):
-                raise FileFormatError(f"{path}: section {name!r} overruns file")
-            payloads[name] = raw[offset : offset + length]
-            offset += length
-        if offset != len(raw):
-            raise FileFormatError(f"{path}: trailing bytes after final section")
-
-        enc_meta, enc_arrays = _decode_section(payloads["encoder"])
-        _, cls_arrays = _decode_section(payloads["classifier"])
-        proto_meta, proto_arrays = _decode_section(payloads["prototypes"])
-        opt_meta, opt_arrays = _decode_section(payloads["optimizer"])
-        sched_meta, _ = _decode_section(payloads["scheduler"])
-        rng_meta, _ = _decode_section(payloads["rng"])
-        config_meta, _ = _decode_section(payloads["config"])
-        if proto_meta != _PROTOTYPE_META:
-            raise FileFormatError(f"{path}: unsupported prototype metadata {proto_meta!r}")
-        rng_state = _rng_state_from_json(rng_meta["state"])
-        np.random.Philox(0).state = rng_state  # raises on a state Philox cannot take
-
-        stage = StageState(
-            phase=Phase(sched_meta["phase"]),
-            css_raw=float(sched_meta["css_raw"]),
-            css_smoothed=(
-                None if sched_meta["css_smoothed"] is None else float(sched_meta["css_smoothed"])
-            ),
-            iteration=int(sched_meta["iteration"]),
-        )
-        return Checkpoint(
-            encoder_arch=enc_meta["arch"],
-            encoder_arrays=enc_arrays,
-            classifier=cls_arrays["weight"],
-            prototypes=proto_arrays["E"],
-            prototypes_initialized=proto_arrays["initialized"].astype(bool),
-            optimizer_arrays=opt_arrays,
-            optimizer_counts={k: int(v) for k, v in opt_meta["counts"].items()},
-            stage=stage,
-            rng_state=rng_state,
-            config={k: str(v) for k, v in config_meta["config"].items()},
-            version=version,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError, struct.error) as exc:
-        raise FileFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if head[:4] == b"LVPC":
+            version = int.from_bytes(head[4:], "little")
+            raise FileFormatError(f"{path}: unsupported checkpoint version {version}")
+        if head[:4] != MAGIC:
+            raise FileFormatError(f"{path}: not a checkpoint file (bad magic)")
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                members = zf.infolist()
+                if any(info.compress_type != zipfile.ZIP_STORED for info in members):
+                    raise FileFormatError(f"{path}: a member is compressed")
+                meta = json.loads(zf.read("meta.json"))
+                if meta["version"] != FORMAT_VERSION:
+                    raise FileFormatError(f"{path}: unsupported version {meta['version']}")
+                if meta["activation"] != "logistic":
+                    raise FileFormatError(f"{path}: unknown activation {meta['activation']!r}")
+                arrays = {info.filename.removesuffix(".npy"): _read_array(zf, info)
+                          for info in members if info.filename.endswith(".npy")}
+            encoder, optimizer = ({k[len(p):]: arrays.pop(k) for k in list(arrays)
+                                   if k.startswith(p)} for p in ("encoder/", "optimizer/"))
+            classifier, prototypes, flags = (arrays.pop(name) for name in (
+                "classifier", "prototypes", "prototypes_initialized"))
+            if arrays or len(members) != 4 + len(encoder) + len(optimizer):  # 4: meta and bank
+                raise FileFormatError(f"{path}: unexpected members")
+            np.random.Philox(0).state = meta["rng"]  # raises on a state Philox cannot take
+            stage = meta["stage"]
+            smoothed = None if stage["css_smoothed"] is None else float(stage["css_smoothed"])
+            return Checkpoint(
+                encoder_arch=meta["arch"], encoder_arrays=encoder, classifier=classifier,
+                prototypes=prototypes, prototypes_initialized=flags, optimizer_arrays=optimizer,
+                optimizer_counts={k: int(v) for k, v in meta["counts"].items()},
+                stage=StageState(Phase(stage["phase"]), float(stage["css_raw"]), smoothed,
+                                 int(stage["iteration"])),
+                rng_state=meta["rng"], config={k: str(v) for k, v in meta["config"].items()})
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, AttributeError,
+                LookupError, TypeError, ValueError) as exc:  # OSError: a seek off the file
+            raise FileFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc

@@ -173,8 +173,10 @@ def _spawn_keys(seed: int, ids: np.ndarray) -> np.ndarray:
 
 
 def _generators(count: int) -> list[np.random.Generator]:
-    """``count`` Philox generators, each to be given its stream by ``_rekey``."""
-    return [np.random.Generator(np.random.Philox(0)) for _ in range(count)]
+    """``count`` Philox generators, each to be given its stream by ``_rekey``;
+    they share one ``SeedSequence``, whose key ``_rekey`` overwrites anyway."""
+    seeds = np.random.SeedSequence(0)
+    return [np.random.Generator(np.random.Philox(seeds)) for _ in range(count)]
 
 
 def _rekey(rng: np.random.Generator, key: list[int]) -> None:

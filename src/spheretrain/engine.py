@@ -25,7 +25,8 @@ then zero-fills the arena's gradient. Every gradient passes its finite check
 before any parameter moves, so an abort leaves the last iteration boundary
 intact; a non-finite encoder gradient is named by parameter and index. A
 log row is emitted per iteration and a checkpoint is written at the end (or
-on abort, Ctrl-C too). Identical config and seed reproduce the run bit for bit.
+on abort, Ctrl-C too; an abort after an iteration has counted itself writes
+that iteration's row first, so the log and the checkpoint agree). Identical config and seed reproduce the run bit for bit.
 """
 
 from __future__ import annotations
@@ -187,17 +188,20 @@ def _snapshot(
     rng_state: dict,
     config_mapping: dict[str, str],
 ) -> Checkpoint:
+    """The run's state as a checkpoint of its live arrays. Only the encoder's
+    are copied: they are views into the arena of an encoder that outlives
+    ``train``."""
     return Checkpoint(
         encoder_arch=encoder.describe(),
         encoder_arrays={name: t.data.copy() for name, t in encoder.params()},
-        classifier=bank.weight.data.copy(),
-        prototypes=protos.E.copy(),
-        prototypes_initialized=protos.initialized.copy(),
-        optimizer_arrays={k: v.copy() for k, v in opt.state_arrays().items()},
+        classifier=bank.weight.data,
+        prototypes=protos.E,
+        prototypes_initialized=protos.initialized,
+        optimizer_arrays=opt.state_arrays(),
         optimizer_counts=dict(opt.step_counts),
-        stage=copy.copy(state),
-        rng_state=copy.deepcopy(rng_state),
-        config=dict(config_mapping),
+        stage=state,
+        rng_state=rng_state,
+        config=config_mapping,
     )
 
 
@@ -243,7 +247,9 @@ def train(
     come from the same stream afterwards, which is what makes a run a pure
     function of (config, dataset). Passing ``resume`` continues a checkpoint
     exactly where it stopped and writes ``log_path`` on from the row it
-    stopped at; a fresh run overwrites it.
+    stopped at; a fresh run overwrites it. The returned checkpoint holds the
+    run's final arrays themselves, not copies (the encoder's excepted), and is
+    the one saved to ``checkpoint_path``.
     """
     config.validate()
     n = dataset.size
@@ -275,7 +281,7 @@ def train(
         protos.initialized = resume.prototypes_initialized.copy()
         opt.restore(resume.optimizer_arrays, resume.optimizer_counts)
         state = copy.copy(resume.stage)
-        rng.bit_generator.state = copy.deepcopy(resume.rng_state)
+        rng.bit_generator.state = resume.rng_state
 
     arena = encoder.arena
 
@@ -289,6 +295,16 @@ def train(
     # put back before an abort checkpoint pairs them with ``rng_state``.
     folded = None
     moving = False  # True while an interrupt would leave no intact boundary
+    # The (phase, loss, lr) of the counted iteration whose row is not yet written.
+    unlogged = None
+
+    def log_row(phase: Phase, loss: float, lr: float) -> LogRow:
+        row = LogRow(state.iteration, phase.value, loss, state.css_raw, state.css_smoothed, lr)
+        if log is not None:
+            log.write(f"{row.to_csv()}\n".encode())
+            log.flush()
+        return row
+
     try:
         for it in range(state.iteration + 1, config.max_iterations + 1):
             batch_idx = rng.choice(n, size=config.batch_size_at(it), replace=False)
@@ -341,26 +357,20 @@ def train(
             state.iteration = it
             rng_state = rng.bit_generator.state
             folded = None
+            unlogged = (phase, loss.item(), lr)
             step_scheduler(state, css, config.delta1, config.delta2, config.css_beta)
             moving = False
-            row = LogRow(
-                iteration=it,
-                phase=phase.value,
-                loss=loss.item(),
-                css_raw=state.css_raw,
-                css_smoothed=state.css_smoothed,
-                lr=lr,
-            )
-            rows.append(row)
-            if log is not None:
-                log.write(f"{row.to_csv()}\n".encode())
-                log.flush()
+            rows.append(log_row(*unlogged))
+            unlogged = None
     except BaseException as exc:  # Ctrl-C too: save the boundary, then re-raise
         if folded is not None:
             seen, columns, flags = folded
             protos.E[:, seen] = columns
             protos.initialized[seen] = flags
-        if checkpoint_path is not None and (isinstance(exc, Exception) or not moving):
+        intact = isinstance(exc, Exception) or not moving
+        if intact and unlogged is not None:  # the checkpoint's state has counted this row
+            log_row(*unlogged)
+        if checkpoint_path is not None and intact:
             save_checkpoint(
                 checkpoint_path,
                 _snapshot(encoder, bank, protos, opt, state, rng_state, mapping),

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -120,19 +121,25 @@ class TestTrainCommand:
     def test_resume_from_corrupt_checkpoint_exits_one(self, tmp_path, sphere_train_config, capsys):
         assert main(["train", "--config", sphere_train_config]) == 0
         ckpt = tmp_path / "run.lvpc"
-        blob = ckpt.read_bytes()
-        ckpt.write_bytes(blob[:20] + b"\xff" + blob[21:])
+        with zipfile.ZipFile(ckpt) as zf:  # the last byte of the classifier's array
+            info = zf.getinfo("classifier.npy")
+        at = info.header_offset + 30 + len(info.filename) + len(info.extra) + info.file_size - 1
+        blob = bytearray(ckpt.read_bytes())
+        blob[at] ^= 0xFF
+        ckpt.write_bytes(blob)
         capsys.readouterr()
         assert main(["train", "--config", sphere_train_config, "--resume", str(ckpt)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Bad CRC-32 for file 'classifier.npy'" in err
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_resume_from_old_version_checkpoint_exits_one(self, tmp_path, sphere_train_config,
                                                           capsys, version):
         assert main(["train", "--config", sphere_train_config]) == 0
         ckpt = tmp_path / "old.lvpc"
-        blob = (tmp_path / "run.lvpc").read_bytes()
-        ckpt.write_bytes(blob[:4] + version.to_bytes(4, "little") + blob[8:])
+        old = load_checkpoint(tmp_path / "run.lvpc")
+        old.version = version
+        save_checkpoint(ckpt, old)
         capsys.readouterr()
         assert main(["train", "--config", sphere_train_config, "--resume", str(ckpt)]) == 1
         err = capsys.readouterr().err

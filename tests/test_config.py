@@ -1,13 +1,25 @@
+import io
+import json
+import os
+import tracemalloc
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheretrain.checkpoint import (
-    Checkpoint,
     FORMAT_VERSION,
+    MAGIC,
+    Checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
 from spheretrain.config import TrainConfig, get_float, get_int, get_str, parse_kv_file
+from spheretrain.data import Dataset
+from spheretrain.encoders import MLPEncoder
+from spheretrain.engine import train
 from spheretrain.errors import ConfigError, FileFormatError
 from spheretrain.scheduler import Phase, StageState
 
@@ -172,6 +184,24 @@ def toy_checkpoint(seed=0):
     )
 
 
+def npy_bytes(arr: np.ndarray) -> bytes:
+    out = io.BytesIO()
+    np.lib.format.write_array(out, arr)
+    return out.getvalue()
+
+
+def rezipped(blob: bytes, edit) -> bytes:
+    """The archive ``blob`` with its members, as a name -> bytes mapping,
+    replaced by ``edit(members)``, written as a new well-formed archive."""
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for name, data in edit(members).items():
+            zf.writestr(name, data)
+    return out.getvalue()
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         ckpt = toy_checkpoint()
@@ -229,31 +259,46 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda b: b[:20] + b"\xff" + b[21:],  # non-UTF-8 encoder header
-            lambda b: b[:20] + b"!" + b[21:],  # encoder header is not JSON
-            lambda b: b.replace(b'"meta"', b'"mexa"', 1),
-            lambda b: b.replace(b'"arrays"', b'"arrayz"', 1),
-            lambda b: b.replace(b'"arch"', b'"arcx"', 1),
-            lambda b: b.replace(b'"stabilization"', b'"stabilizatiox"', 1),
-            lambda b: b.replace(b'"logistic"', b'"logistix"', 1),
-            lambda b: b.replace(b'"Philox"', b'"Philoy"', 1),
+            lambda m: {**m, "meta.json": m["meta.json"].replace(b'"arch"', b'"\xffrch"')},
+            lambda m: {**m, "meta.json": b"!" + m["meta.json"][1:]},
+            lambda m: {k: v for k, v in m.items() if k != "meta.json"},
+            lambda m: {k: v for k, v in m.items() if k != "classifier.npy"},
+            lambda m: {**m, "meta.json": m["meta.json"].replace(b'"arch"', b'"arcx"')},
+            lambda m: {**m, "meta.json": m["meta.json"].replace(b'"stabilization"',
+                                                                b'"stabilizatiox"')},
+            lambda m: {**m, "meta.json": m["meta.json"].replace(b'"logistic"', b'"logistix"')},
+            lambda m: {**m, "meta.json": m["meta.json"].replace(b'"Philox"', b'"Philoy"')},
+            lambda m: {**m, "classifier.npy": npy_bytes(np.zeros((5, 7), dtype=np.float32))},
+            lambda m: {**m, "prototypes_initialized.npy": npy_bytes(np.ones(7))},
+            lambda m: {**m, "stray.npy": npy_bytes(np.ones(7))},
+            lambda m: {**m, "encoder/fc1.w": npy_bytes(np.ones((3, 4)))},
         ],
         ids=["non-utf8", "not-json", "no-meta", "no-arrays", "no-arch", "unknown-phase",
-             "unknown-activation", "foreign-rng-state"],
+             "unknown-activation", "foreign-rng-state", "float32-classifier", "float-flags",
+             "stray-member", "member-without-suffix"],
     )
     def test_corrupt_header_rejected(self, tmp_path, corrupt):
+        # well-formed archives with bad contents: each reaches the checks past
+        # the members' CRCs
         p = tmp_path / "model.lvpc"
         save_checkpoint(p, toy_checkpoint(6))
         blob = p.read_bytes()
-        p.write_bytes(corrupt(blob))
+        p.write_bytes(rezipped(blob, corrupt))
         assert p.read_bytes() != blob
         with pytest.raises(FileFormatError):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    def test_rezipped_unchanged_archive_loads(self, tmp_path):
+        p = tmp_path / "model.lvpc"
+        save_checkpoint(p, toy_checkpoint(6))
+        p.write_bytes(rezipped(p.read_bytes(), lambda m: m))
+        assert load_checkpoint(p).stage == toy_checkpoint(6).stage
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
     def test_old_version_rejected_by_name(self, tmp_path, version):
         # version 1 named the ViT attention parameters per head; version 2 kept
-        # a moment pair and a step count per encoder parameter
+        # a moment pair and a step count per encoder parameter; version 3 was
+        # the unchecksummed LVPC container
         ckpt = toy_checkpoint(8)
         ckpt.version = version
         p = tmp_path / "old.lvpc"
@@ -261,9 +306,197 @@ class TestCheckpoint:
         with pytest.raises(FileFormatError, match=f"version {version}"):
             load_checkpoint(p)
 
+    def test_lvpc_file_rejected_by_its_version(self, tmp_path):
+        # a format-3 file: magic, u32 version, then u64-framed sections
+        p = tmp_path / "v3.lvpc"
+        p.write_bytes(b"LVPC" + (3).to_bytes(4, "little") + (12).to_bytes(8, "little")
+                      + b"\x08\x00\x00\x00" + b'{"meta":{}}')
+        with pytest.raises(FileFormatError, match="version 3"):
+            load_checkpoint(p)
+
     def test_magic_literal(self, tmp_path):
         p = tmp_path / "model.lvpc"
         save_checkpoint(p, toy_checkpoint(7))
-        head = p.read_bytes()[:8]
-        assert head[:4] == b"LVPC"
-        assert int.from_bytes(head[4:8], "little") == FORMAT_VERSION
+        assert p.read_bytes()[:4] == MAGIC == b"PK\x03\x04"
+        with zipfile.ZipFile(p) as zf:
+            assert json.loads(zf.read("meta.json"))["version"] == FORMAT_VERSION
+            assert zf.namelist() == ["meta.json", "classifier.npy", "encoder/fc1.b.npy",
+                                     "encoder/fc1.w.npy", "encoder/fc2.b.npy",
+                                     "encoder/fc2.w.npy", "optimizer/classifier.m.npy",
+                                     "optimizer/classifier.v.npy", "prototypes.npy",
+                                     "prototypes_initialized.npy"]
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    def test_arrays_load_with_numpy(self, tmp_path):
+        ckpt = toy_checkpoint(7)
+        p = tmp_path / "model.lvpc"
+        save_checkpoint(p, ckpt)
+        with np.load(p) as arrays:
+            np.testing.assert_array_equal(arrays["classifier"], ckpt.classifier)
+            np.testing.assert_array_equal(arrays["encoder/fc2.w"], ckpt.encoder_arrays["fc2.w"])
+            assert arrays["prototypes_initialized"].dtype == bool
+
+    def test_column_major_arrays_round_trip(self, tmp_path):
+        ckpt = toy_checkpoint(9)
+        ckpt.classifier = np.asfortranarray(ckpt.classifier)
+        p = tmp_path / "model.lvpc"
+        save_checkpoint(p, ckpt)
+        loaded = load_checkpoint(p)
+        assert loaded.classifier.flags.f_contiguous
+        np.testing.assert_array_equal(loaded.classifier, ckpt.classifier)
+        save_checkpoint(tmp_path / "again.lvpc", loaded)
+        assert (tmp_path / "again.lvpc").read_bytes() == p.read_bytes()
+
+    def test_save_fsyncs_before_the_rename(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recorded(name):
+            original = getattr(os, name)
+
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+            return call
+
+        for name in ("fsync", "replace"):
+            monkeypatch.setattr(os, name, recorded(name))
+        save_checkpoint(tmp_path / "model.lvpc", toy_checkpoint(7))
+        assert calls == ["fsync", "replace"]
+
+    def test_save_and_load_peaks_at_100k_classes(self, tmp_path):
+        # the live state of a sampled 100k-class run: column-major classifier
+        # and moments, row-major prototypes
+        d, c = 32, 100_000
+        block = d * c * 8
+        ckpt = toy_checkpoint(10)
+        ckpt.classifier = np.zeros((d, c), order="F")
+        ckpt.prototypes = np.zeros((d, c))
+        ckpt.prototypes_initialized = np.zeros(c, dtype=bool)
+        ckpt.optimizer_arrays = {f"classifier.{k}": np.zeros((d, c), order="F") for k in "mv"}
+        path = tmp_path / "big.lvpc"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, ckpt)
+            save_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del ckpt
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [loaded.classifier, loaded.prototypes, loaded.prototypes_initialized,
+                  *loaded.encoder_arrays.values(), *loaded.optimizer_arrays.values()]
+        assert save_peak <= block
+        assert load_peak <= sum(a.nbytes for a in arrays) + 2**20
+        assert loaded.classifier.flags.f_contiguous and loaded.prototypes.flags.c_contiguous
+
+
+def _arrays(ckpt: Checkpoint) -> dict[str, np.ndarray]:
+    return {"classifier": ckpt.classifier, "prototypes": ckpt.prototypes,
+            "flags": ckpt.prototypes_initialized,
+            **{f"encoder/{k}": v for k, v in ckpt.encoder_arrays.items()},
+            **{f"optimizer/{k}": v for k, v in ckpt.optimizer_arrays.items()}}
+
+
+def assert_same_contents(got: Checkpoint, want: Checkpoint) -> None:
+    a, b = _arrays(got), _arrays(want)
+    assert sorted(a) == sorted(b)
+    for name in b:
+        assert (a[name].dtype, a[name].shape) == (b[name].dtype, b[name].shape), name
+        assert a[name].tobytes() == b[name].tobytes(), name
+    assert got.optimizer_counts == want.optimizer_counts
+    assert got.stage == want.stage
+    assert (got.encoder_arch, got.config) == (want.encoder_arch, want.config)
+    draws = []
+    for state in (got.rng_state, want.rng_state):
+        rng = np.random.Philox(0)
+        rng.state = state
+        draws.append(rng.random_raw(4).tolist())
+    assert draws[0] == draws[1]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A checkpoint of a small run six iterations in, in refinement with both
+    classes' prototypes set, and a directory holding it as ``c.lvpc``."""
+    rng = np.random.Generator(np.random.Philox(4))
+    x = rng.standard_normal((12, 4))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    data = Dataset(x, np.arange(12) % 2, num_classes=2)
+    cfg = TrainConfig(seed=0, max_iterations=6, batch_size=6, delta1=0.01, delta2=0.01)
+    ckpt, rows = train(cfg, data, MLPEncoder(4, 8, 4))
+    assert rows[-1].phase == "refinement" and ckpt.prototypes_initialized.all()
+    workdir = tmp_path_factory.mktemp("trained")
+    save_checkpoint(workdir / "c.lvpc", ckpt)
+    return ckpt, workdir
+
+
+class TestCheckpointCorruption:
+    """A truncated checkpoint, or one with one to four flipped bits, either
+    raises ``FileFormatError`` or loads the contents that were saved."""
+
+    def test_clean_file_loads_what_was_saved(self, trained):
+        ckpt, workdir = trained
+        assert_same_contents(load_checkpoint(workdir / "c.lvpc"), ckpt)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7)),
+                       min_size=1, max_size=4),
+        cut=st.none() | st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_damaged_file_raises_or_loads_the_same(self, trained, flips, cut):
+        ckpt, workdir = trained
+        data = bytearray((workdir / "c.lvpc").read_bytes())
+        for where, bit in flips:
+            data[int(where * len(data))] ^= 1 << bit
+        if cut is not None:
+            data = data[: int(cut * len(data))]
+        path = workdir / "damaged.lvpc"
+        path.write_bytes(bytes(data))
+        try:
+            loaded = load_checkpoint(path)
+        except FileFormatError:
+            return
+        assert_same_contents(loaded, ckpt)
+
+    def test_central_directory_offset_flip_is_rejected(self, trained):
+        # the offset's top bit sends zipfile to seek before the file's start
+        _, workdir = trained
+        data = bytearray((workdir / "c.lvpc").read_bytes())
+        data[-22 + 19] ^= 0x80  # in the end record, the offset's high byte
+        path = workdir / "offset.lvpc"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError):
+            load_checkpoint(path)
+
+    def _classifier_shape_at(self, blob: bytes) -> int:
+        """The offset of the classifier's column count in its npy header."""
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            start = zf.getinfo("classifier.npy").header_offset
+        return blob.index(b"'shape': (4, 2)", start) + len(b"'shape': (4, ")
+
+    def test_shape_shrinking_flip_is_rejected(self, trained):
+        # one bit turns the header's (4, 2) into (4, 0): a reader that stopped
+        # at the array's end would load an empty classifier
+        _, workdir = trained
+        data = bytearray((workdir / "c.lvpc").read_bytes())
+        data[self._classifier_shape_at(bytes(data))] ^= 0x02
+        path = workdir / "shrunk.lvpc"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="CRC"):
+            load_checkpoint(path)
+
+    def test_shrunk_header_with_a_matching_crc_is_rejected(self, trained):
+        # the same header in a well-formed archive: the size check catches it
+        _, workdir = trained
+        blob = (workdir / "c.lvpc").read_bytes()
+        shrink = lambda m: {**m, "classifier.npy": m["classifier.npy"].replace(
+            b"'shape': (4, 2)", b"'shape': (4, 0)")}
+        path = workdir / "shrunk.lvpc"
+        path.write_bytes(rezipped(blob, shrink))
+        with pytest.raises(FileFormatError, match="filling it"):
+            load_checkpoint(path)

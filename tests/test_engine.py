@@ -404,9 +404,12 @@ class TestTrainLoop:
         assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[done:]]
 
     def test_abort_after_the_iteration_counted_resumes_after_it(self, tmp_path, monkeypatch):
-        # iteration 4 has stepped and counted itself when the scheduler fails
+        # iteration 4 has stepped and counted itself when the scheduler fails,
+        # before its log row is written
         ds = sphere_fixture(11)
-        _, full_rows = train(quick_config(seed=21, max_iterations=20), ds, fresh_encoder())
+        full_log, log = tmp_path / "full.csv", tmp_path / "run.csv"
+        _, full_rows = train(quick_config(seed=21, max_iterations=20), ds, fresh_encoder(),
+                             log_path=full_log)
         original = engine.step_scheduler
 
         def explode_at_4(state, *args):
@@ -418,13 +421,14 @@ class TestTrainLoop:
         ckpt_path = tmp_path / "abort.lvpc"
         with pytest.raises(RuntimeError):
             train(quick_config(seed=21, max_iterations=20), ds, fresh_encoder(),
-                  checkpoint_path=ckpt_path)
+                  log_path=log, checkpoint_path=ckpt_path)
         monkeypatch.setattr(engine, "step_scheduler", original)
         saved = load_checkpoint(ckpt_path)
         assert saved.stage.iteration == 4
         _, resumed_rows = train(quick_config(seed=21, max_iterations=20), ds,
-                                fresh_encoder(), resume=saved)
+                                fresh_encoder(), log_path=log, resume=saved)
         assert [r.to_csv() for r in resumed_rows] == [r.to_csv() for r in full_rows[4:]]
+        assert log.read_bytes() == full_log.read_bytes()
 
     @pytest.mark.parametrize("loss_name, thresholds", [
         ("loss_alignment", {}),

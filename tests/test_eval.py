@@ -1,5 +1,6 @@
 import builtins
 import errno
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spheretrain.checkpoint import save_checkpoint
+from spheretrain.checkpoint import load_checkpoint, save_checkpoint
 from spheretrain.config import TrainConfig
 from spheretrain.data import Dataset
 from spheretrain.encoders import MLPEncoder
@@ -581,16 +582,24 @@ def _two_writes(kind):
     return (save_checkpoint, *ckpts)
 
 
+@functools.lru_cache(maxsize=1)
+def _small_checkpoint():
+    data = Dataset(unit_rows(rng_for(20), 8, 4), np.arange(8) % 2, num_classes=2)
+    return train(TrainConfig(seed=0, max_iterations=1, batch_size=4), data, MLPEncoder(4, 8, 4))[0]
+
+
 def _valid_files(tmp_path) -> dict:
     """One small valid file per reader, as (reader, bytes)."""
     rng = rng_for(15)
     write_embeddings(tmp_path / "e.lvem", rng.standard_normal((3, 2)), np.arange(3))
     write_images(tmp_path / "i.lvim", rng.uniform(size=(2, 2, 2, 1)), np.arange(2))
     write_pairs(tmp_path / "p.csv", PairSet([0, 2], [1, 10], [True, False]))
+    save_checkpoint(tmp_path / "c.lvpc", _small_checkpoint())
     return {
         "embeddings": (read_embeddings, (tmp_path / "e.lvem").read_bytes()),
         "images": (read_images, (tmp_path / "i.lvim").read_bytes()),
         "pairs": (read_pairs, (tmp_path / "p.csv").read_bytes()),
+        "checkpoint": (load_checkpoint, (tmp_path / "c.lvpc").read_bytes()),
     }
 
 
@@ -600,7 +609,7 @@ class TestReaderFuzz:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        kind=st.sampled_from(["embeddings", "images", "pairs"]),
+        kind=st.sampled_from(["embeddings", "images", "pairs", "checkpoint"]),
         cut=st.floats(0.0, 1.0),
         flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 255)), max_size=4),
     )
@@ -618,7 +627,7 @@ class TestReaderFuzz:
         except FileFormatError:
             pass
 
-    @pytest.mark.parametrize("kind", ["embeddings", "images", "pairs"])
+    @pytest.mark.parametrize("kind", ["embeddings", "images", "pairs", "checkpoint"])
     def test_every_truncation(self, tmp_path, kind):
         reader, blob = _valid_files(tmp_path)[kind]
         path = tmp_path / "cut"
