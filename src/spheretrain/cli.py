@@ -29,6 +29,7 @@ from .evaluate import angular_projection, make_pairs, verification_report
 from .fileio import (
     EMB_MAGIC,
     IMG_MAGIC,
+    atomic_write,
     read_embeddings,
     read_images,
     read_pairs,
@@ -79,7 +80,8 @@ def build_dataset(mapping: dict[str, str], default_seed: int) -> Dataset:
         return views[split]()
     if kind == "file":
         path = Path(get_str(mapping, "path"))
-        magic = path.read_bytes()[:4]
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
         num_classes = get_int(mapping, "num_classes", 0)
         if magic == EMB_MAGIC:
             features, labels = read_embeddings(path)
@@ -188,7 +190,8 @@ def _cmd_eval(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with atomic_write(args.out) as fh:
+            fh.write(f"{text}\n".encode())
     return 0
 
 
@@ -290,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except (SphereTrainError, FileNotFoundError, IsADirectoryError) as exc:
+    except (SphereTrainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

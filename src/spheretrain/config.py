@@ -125,7 +125,10 @@ class TrainConfig:
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Read a flat ``key = value`` file, later keys overriding earlier ones."""
     mapping: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -128,8 +128,11 @@ class _Encoder:
     def allocate(self) -> None:
         """Create the zeroed arena once every parameter is declared."""
         size = sum(math.prod(shape) for _, shape, *_ in self._specs)
-        self.arena = Tensor(np.zeros(size), requires_grad=True)
-        self.arena.grad = np.zeros(size)
+        try:
+            self.arena = Tensor(np.zeros(size), requires_grad=True)
+            self.arena.grad = np.zeros(size)
+        except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+            raise ConfigError(f"an encoder of {size} parameters does not fit in memory") from exc
         self._tensors = {name: Tensor(np.empty(shape), requires_grad=True)
                          for name, shape, *_ in self._specs}
         self.bind(self.arena)

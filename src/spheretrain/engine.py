@@ -15,8 +15,10 @@ parts:
 * refinement: both parts over all C classes; sub-sampling is off. The
   prototype part is restricted to classes that have actually been seen.
 
-While sub-sampling is active, the selected classifier columns are gathered
-once into a (d, |set|) leaf of their own; the loss, its gradient and the
+The classifier, its AdamW moments and the prototype bank stay column-major
+(class-major) in every phase and through a resume. While sub-sampling is
+active, the selected classifier columns are gathered once into a
+(d, |set|) leaf of their own; the loss, its gradient and the
 optimizer step see only that block, which is re-normalized onto the unit
 sphere and scattered back once. The encoder's parameters are views into one
 flat arena (see ``encoders``), so each iteration makes two AdamW steps with
@@ -276,9 +278,9 @@ def train(
             )
         _check_resume_state(resume, encoder, dataset.num_classes)
         encoder.restore(resume.encoder_arrays)
-        bank = ClassifierBank(weight=Tensor(resume.classifier.copy(), requires_grad=True))
-        protos.E = resume.prototypes.copy()
-        protos.initialized = resume.prototypes_initialized.copy()
+        bank = ClassifierBank(Tensor(np.array(resume.classifier, order="F"), requires_grad=True))
+        protos.E[...] = resume.prototypes
+        protos.initialized[...] = resume.prototypes_initialized
         opt.restore(resume.optimizer_arrays, resume.optimizer_counts)
         state = copy.copy(resume.stage)
         rng.bit_generator.state = resume.rng_state
@@ -316,7 +318,6 @@ def train(
             if phase is not Phase.REFINEMENT:
                 sample_set = ncs.sample(dataset.num_classes, config.r, batch_labels, rng)
                 ids = sample_set.global_ids
-            bank.lay_out(class_major=sample_set is not None)
             # A sampled step's leaf is its own (d, |set|) class-major block.
             leaf = (bank.weight if ids is None
                     else Tensor(bank.weight.data[:, ids], requires_grad=True))

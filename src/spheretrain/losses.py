@@ -42,21 +42,18 @@ _NORM_CHUNK_ENTRIES = 1 << 14
 class ClassifierBank:
     """The d x C matrix of unit-norm class-center columns, as a trainable leaf.
 
-    The weight keeps its (d, C) shape in one of two memory orders, set by
-    ``lay_out`` before each training step. A dense step multiplies the whole
-    weight, and BLAS rounds differently on a column-major operand, so it
-    runs on the row-major layout, with ``weight`` as the step's leaf and a
-    (d, C) gradient. A sampled step runs on the class-major (column-major)
-    layout, where a class's d values are contiguous. The training loop
-    gathers the selected columns once, ``weight.data[:, ids]``, into a
-    column-major (d, |set|) leaf of its own. The loss, its gradient, the
-    optimizer's moments and update, and ``unit_columns`` all work on blocks
-    of that size and order, and ``AdamW.step(columns=ids)`` scatters the
-    stepped block back once, so nothing the size of (d, C) is allocated or
-    read. ``loss_alignment`` and ``loss_stabilization`` called without such
-    a block gather through ``tensor.gather_cols`` and leave a (d, C)
-    gradient in ``weight.grad``; ``renormalize_columns`` restores unit norm
-    after that step.
+    A trained weight is column-major (class-major) in every phase, from
+    ``init_random`` to the checkpoint: a class's d values are contiguous (a
+    weight passed in keeps its order). A dense step takes ``weight`` itself
+    as its leaf. A sampled step gathers the selected columns once,
+    ``weight.data[:, ids]``, into a (d, |set|) leaf of its own. The loss,
+    its gradient, the optimizer's moments and update, and ``unit_columns``
+    all work on blocks of that size and order, and
+    ``AdamW.step(columns=ids)`` scatters the stepped block back once, so
+    nothing the size of (d, C) is allocated or read. ``loss_alignment`` and
+    ``loss_stabilization`` called without such a block gather through
+    ``tensor.gather_cols`` and leave a (d, C) gradient in ``weight.grad``;
+    ``renormalize_columns`` restores unit norm after that step.
     """
 
     weight: Tensor
@@ -74,7 +71,7 @@ class ClassifierBank:
         """Columns drawn uniform in [-1, 1) then scaled onto the unit sphere."""
         w = rng.uniform(-1.0, 1.0, size=(dim, num_classes))
         w /= np.linalg.norm(w, axis=0, keepdims=True)
-        return cls(weight=Tensor(w, requires_grad=True))
+        return cls(weight=Tensor(np.asfortranarray(w), requires_grad=True))
 
     @property
     def dim(self) -> int:
@@ -83,18 +80,6 @@ class ClassifierBank:
     @property
     def num_classes(self) -> int:
         return self.weight.shape[1]
-
-    def lay_out(self, class_major: bool) -> None:
-        """Store the weight column-major if ``class_major``, else row-major.
-
-        A no-op when it is already so; otherwise one copy, replacing
-        ``weight.data``.
-        """
-        w = self.weight.data
-        if class_major and not w.flags.f_contiguous:
-            self.weight.data = np.asfortranarray(w)
-        elif not class_major and not w.flags.c_contiguous:
-            self.weight.data = np.ascontiguousarray(w)
 
     def renormalize_columns(self, ids=None) -> None:
         """Rescale columns back to unit norm, touching only ``ids`` if given."""

@@ -6,9 +6,8 @@ decay applied directly to the parameter (never folded into the gradient):
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)
 
 Parameters are plain numpy arrays mutated in place between forward passes.
-The moments share the parameter's memory order. When the parameter changes
-order (the classifier does between sampled and dense steps), or moments are
-restored in another order, they are re-laid out on the next step.
+The moments share the parameter's memory order: they are made like it, and
+moments or a gradient of another order are re-laid out to it on a step.
 
 One in-place kernel, ``_update``, serves every step: it runs on equal-shaped
 blocks of ``m``, ``v``, the parameter and the gradient, at most

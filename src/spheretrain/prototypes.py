@@ -21,7 +21,7 @@ def _logistic(z: float) -> float:
 
 
 class PrototypeBank:
-    """d x C matrix of prototypes with per-class initialized flags.
+    """d x C column-major matrix of prototypes with per-class initialized flags.
 
     The mixing coefficient is alpha = sigma(<e, x>) with sigma the logistic
     function, which keeps every update a proper convex combination before
@@ -31,7 +31,7 @@ class PrototypeBank:
     def __init__(self, dim: int, num_classes: int):
         if dim < 2 or num_classes < 1:
             raise ShapeError(f"need dim >= 2 and at least one class, got {dim}, {num_classes}")
-        self.E = np.zeros((dim, num_classes), dtype=np.float64)
+        self.E = np.zeros((dim, num_classes), dtype=np.float64, order="F")
         self.initialized = np.zeros(num_classes, dtype=bool)
 
     @property
@@ -101,5 +101,4 @@ class PrototypeBank:
         missing = ids[~self.initialized[ids]]
         if missing.size:
             raise StateError(f"prototype for class {int(missing[0])} is not initialized")
-        # Fancy indexing yields F order; the C-order copy keeps matmul's rounding.
-        return Tensor(self.E[:, ids].copy())
+        return Tensor(self.E[:, ids])

@@ -18,12 +18,11 @@ never while a graph referencing the leaf is alive. Only
 :func:`margin_logsumexp` works in place, on the exponent block it allocates
 itself and shares with no other op. A first gradient is a copy of the upstream
 array in the tensor's memory order. :func:`matmul` computes the gradient of a
-column-major right operand (a gathered classifier block) column-major too, as
-(g^T a)^T, so that copy is contiguous; BLAS may round that product, and a
-product with a column-major operand, differently in the last bit from the
-row-major one. :func:`clip` builds its gradient mask only when some input was
-actually clipped or is NaN. Independent graphs may be evaluated concurrently;
-a single graph must stay confined to one worker.
+column-major right operand (the classifier or a block of it) column-major
+too, as (g^T a)^T, so that copy is contiguous. :func:`clip` builds its
+gradient mask only when some input was actually clipped or is NaN.
+Independent graphs may be evaluated concurrently; a single graph must stay
+confined to one worker.
 """
 
 from __future__ import annotations
@@ -212,7 +211,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: Array) -> None:
         _accumulate(a, g @ b.data.T)
-        # A column-major right operand (a classifier block) gets a column-major
+        # A column-major right operand (the classifier) gets a column-major
         # gradient, so that ``_accumulate`` copies it contiguously.
         if b.data.flags.f_contiguous and not b.data.flags.c_contiguous:
             _accumulate(b, (g.T @ a.data).T)

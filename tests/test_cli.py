@@ -1,5 +1,6 @@
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import zipfile
@@ -10,7 +11,7 @@ import pytest
 
 import spheretrain
 from spheretrain.checkpoint import load_checkpoint, save_checkpoint
-from spheretrain.cli import main
+from spheretrain.cli import build_dataset, main
 from spheretrain.evaluate import make_pairs
 from spheretrain.fileio import (
     read_embeddings,
@@ -244,6 +245,39 @@ class TestTrainCommand:
             "kind": "vit", "image_width": 8, "patch_stride": 4, "token_dim": 8, "layers": 1,
             "heads": 2, "embed_dim": 32, "channels": 1, "ffn_hidden": 32, "head_hidden": 6}
 
+    @pytest.mark.parametrize("line", ["mlp_hidden = 10000000000000000",
+                                      "embed_dim = 10000000000000000",
+                                      "mlp_hidden = 1000000000000000000"],
+                             ids=["hidden-2e18-bytes", "embed-2e18-bytes", "hidden-past-numpy"])
+    def test_encoder_too_large_to_allocate_exits_one(self, tmp_path, sphere_train_config,
+                                                     capsys, line):
+        # Every size here is beyond any address space, so it fails at once.
+        bad = write(tmp_path / "bad.cfg", open(sphere_train_config).read() + line + "\n")
+        assert main(["train", "--config", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not fit in memory" in err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_export_of_an_encoder_too_large_to_allocate_exits_one(
+            self, tmp_path, sphere_train_config, sphere_data_spec, capsys):
+        assert main(["train", "--config", sphere_train_config]) == 0
+        ckpt = load_checkpoint(tmp_path / "run.lvpc")
+        ckpt.encoder_arch = {**ckpt.encoder_arch, "hidden_dim": 10**16}
+        huge = tmp_path / "huge.lvpc"
+        save_checkpoint(huge, ckpt)
+        capsys.readouterr()
+        assert main(["export", "--ckpt", str(huge), "--data", sphere_data_spec,
+                     "--out", str(tmp_path / "emb.lvem")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "emb.lvem").exists()
+
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe" + "dataset = sphere\n".encode("utf-16-le"))
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err and "UTF-8" in err
+
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.cfg")]) == 1
 
@@ -403,6 +437,67 @@ class TestDataAndEvalCommands:
         pairs = tmp_path / "only_genuine.csv"
         pairs.write_text("id_a,id_b,is_match\n0,1,1\n")
         assert main(["eval", "--emb", str(emb), "--pairs", str(pairs)]) == 1
+
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gen-data"])
+    def test_a_path_through_a_regular_file_exits_one(self, tmp_path, sphere_train_config,
+                                                      sphere_data_spec, capsys, command):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory\n")
+        if command == "train":
+            cfg = write(tmp_path / "bad.cfg", open(sphere_train_config).read()
+                        + f"log_path = {plain}/l.csv\n")
+            argv = ["train", "--config", cfg]
+        elif command == "eval":
+            argv = ["eval", "--emb", f"{plain}/x", "--pairs", str(tmp_path / "pairs.csv")]
+        else:
+            argv = ["gen-data", "--spec", sphere_data_spec, "--out", f"{plain}/x.emb"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(plain) in captured.err
+        assert not (tmp_path / "pairs.csv").exists() and not (tmp_path / "run.lvpc").exists()
+
+    def test_file_dataset_is_read_once(self, tmp_path, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(6))
+        path = tmp_path / "d.lvem"
+        write_embeddings(path, rng.standard_normal((12, 4)), np.arange(12) % 3)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def recording_read_bytes(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", recording_read_bytes)
+        dataset = build_dataset({"dataset": "file", "path": str(path)}, 0)
+        assert reads == [path]
+        assert dataset.size == 12 and dataset.num_classes == 3
+
+    def test_eval_report_write_failing_part_way_keeps_the_earlier_report(self, tmp_path,
+                                                                          capsys):
+        rng = np.random.Generator(np.random.Philox(5))
+        labels = np.arange(40) % 4
+        write_embeddings(tmp_path / "e.lvem", rng.standard_normal((40, 6)), labels)
+        write_pairs(tmp_path / "pairs.csv", make_pairs(labels, rng))
+        report = tmp_path / "report.csv"
+        argv = ["eval", "--emb", str(tmp_path / "e.lvem"), "--pairs", str(tmp_path / "pairs.csv"),
+                "--out", str(report)]
+        assert main(argv + ["--far", "0.1"]) == 0
+        earlier = report.read_bytes()
+        capsys.readouterr()
+
+        def limit_file_size():  # a write past 16 bytes fails with EFBIG
+            resource.setrlimit(resource.RLIMIT_FSIZE, (16, resource.RLIM_INFINITY))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(spheretrain.__file__).parents[1]),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run([sys.executable, "-m", "spheretrain", *argv, "--far", "0.1,0.5"],
+                              capture_output=True, text=True, timeout=60, env=env,
+                              preexec_fn=limit_file_size)
+        assert report.read_bytes() == earlier
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.lvem", "pairs.csv", "report.csv"]
 
 
 class TestGradCheckCommand:

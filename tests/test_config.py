@@ -364,13 +364,13 @@ class TestCheckpoint:
         assert calls == ["fsync", "replace"]
 
     def test_save_and_load_peaks_at_100k_classes(self, tmp_path):
-        # the live state of a sampled 100k-class run: column-major classifier
-        # and moments, row-major prototypes
+        # the live state of a 100k-class run: column-major classifier,
+        # moments and prototypes
         d, c = 32, 100_000
         block = d * c * 8
         ckpt = toy_checkpoint(10)
         ckpt.classifier = np.zeros((d, c), order="F")
-        ckpt.prototypes = np.zeros((d, c))
+        ckpt.prototypes = np.zeros((d, c), order="F")
         ckpt.prototypes_initialized = np.zeros(c, dtype=bool)
         ckpt.optimizer_arrays = {f"classifier.{k}": np.zeros((d, c), order="F") for k in "mv"}
         path = tmp_path / "big.lvpc"
@@ -391,7 +391,7 @@ class TestCheckpoint:
                   *loaded.encoder_arrays.values(), *loaded.optimizer_arrays.values()]
         assert save_peak <= block
         assert load_peak <= sum(a.nbytes for a in arrays) + 2**20
-        assert loaded.classifier.flags.f_contiguous and loaded.prototypes.flags.c_contiguous
+        assert loaded.classifier.flags.f_contiguous and loaded.prototypes.flags.f_contiguous
 
 
 def _arrays(ckpt: Checkpoint) -> dict[str, np.ndarray]:

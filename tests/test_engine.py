@@ -271,28 +271,40 @@ class TestTrainLoop:
         for name, arr in full.encoder_arrays.items():
             assert resumed_ckpt.encoder_arrays[name].tobytes() == arr.tobytes()
 
-    def test_classifier_layout_follows_the_step_through_resume(self, tmp_path, monkeypatch):
-        """Sampled steps see a column-major classifier and moments, dense
-        steps row-major ones, in a fresh run and in a resumed one."""
-        layouts = []
+    def test_class_state_stays_column_major_through_refinement_and_resume(
+            self, tmp_path, monkeypatch):
+        """Every classifier step, sampled or dense, fresh or resumed, sees a
+        column-major parameter and column-major moments, and each returned
+        checkpoint holds column-major class state."""
+        steps = []
         step = AdamW.step
 
+        def column_major(a):
+            return a.flags.f_contiguous and not a.flags.c_contiguous
+
         def recording_step(self, name, param, grad, *args, columns=None, **kwargs):
-            step(self, name, param, grad, *args, columns=columns, **kwargs)
             if name == "classifier":
-                arrays = (param, *self.moments[name])
-                layouts.append((columns is not None,
-                                [a.flags.f_contiguous and not a.flags.c_contiguous
-                                 for a in arrays]))
+                moments = self.moments.get(name, ())
+                steps.append((columns is not None,
+                              [column_major(a) for a in (param, *moments)]))
+            step(self, name, param, grad, *args, columns=columns, **kwargs)
 
         monkeypatch.setattr(AdamW, "step", recording_step)
         ds = sphere_fixture(5)
         half = tmp_path / "half.lvpc"
-        train(quick_config(max_iterations=60), ds, fresh_encoder(), checkpoint_path=half)
-        train(quick_config(), ds, fresh_encoder(), resume=load_checkpoint(half))
-        assert len(layouts) == 120
-        assert {sampled for sampled, _ in layouts} == {True, False}
-        assert all(column_major == [sampled] * 3 for sampled, column_major in layouts)
+        fresh, rows = train(quick_config(max_iterations=60), ds, fresh_encoder(),
+                            checkpoint_path=half)
+        assert rows[-1].phase == "refinement"
+        resumed, _ = train(quick_config(), ds, fresh_encoder(), resume=load_checkpoint(half))
+        assert len(steps) == 120
+        assert {sampled for sampled, _ in steps[:60]} == {True, False}
+        assert not any(sampled for sampled, _ in steps[60:])
+        assert all(all(flags) for _, flags in steps), steps
+        assert len(steps[60][1]) == 3  # the resumed moments, as restored
+        for ckpt in (fresh, resumed):
+            arrays = [ckpt.classifier, ckpt.prototypes,
+                      *(ckpt.optimizer_arrays[f"classifier.{k}"] for k in "mv")]
+            assert all(column_major(a) for a in arrays)
 
     def test_unselected_columns_untouched_in_sampled_stages(self):
         ds = sphere_fixture(6, classes=12)
