@@ -9,7 +9,7 @@ Members are stored uncompressed, sorted, with the fixed timestamp 1980-01-01
 00:00, so identical checkpoints are identical files. Arrays are written from
 their own buffers, column-major ones too, and read straight into the arrays
 returned: round trips are bit-exact, so resumed runs reproduce uninterrupted
-ones. Saves go through ``fileio.atomic_write``, fsynced before the rename.
+ones. Saves go through ``fileio.atomic_write`` as durable writes.
 
 ``zipfile`` checks a member's CRC-32 when it is read to its end, and every
 member is; each array's dtype and size are checked before it is allocated.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,8 +75,6 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
                 info.file_size = arr.nbytes  # so that zipfile picks zip64 past 2 GiB
                 with zf.open(info, "w") as member:
                     np.lib.format.write_array(member, arr, version=(1, 0), allow_pickle=False)
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 def _read_array(zf: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:

@@ -16,9 +16,10 @@ parts:
   prototype part is restricted to classes that have actually been seen.
 
 The classifier, its AdamW moments and the prototype bank stay column-major
-(class-major) in every phase and through a resume. While sub-sampling is
-active, the selected classifier columns are gathered once into a
-(d, |set|) leaf of their own; the loss, its gradient and the
+(class-major) in every phase and through a resume. Each stage loss scores
+the classifier columns it is given. Refinement is given ``bank.weight``
+itself; a sampled phase is given ``sampler.gather_columns``' (d, |set|)
+leaf, the only column-restricted path: the loss, its gradient and the
 optimizer step see only that block, which is re-normalized onto the unit
 sphere and scattered back once. The encoder's parameters are views into one
 flat arena (see ``encoders``), so each iteration makes two AdamW steps with
@@ -80,33 +81,28 @@ class LogRow:
         )
 
 
+def _checked(columns: Tensor, count: int, what: str) -> Tensor:
+    if columns.data.ndim != 2 or columns.shape[1] != count:
+        raise ShapeError(f"need a (d, {count}) block of {what}, got {columns.shape}")
+    return columns
+
+
 def loss_alignment(
     features: Tensor,
     labels: np.ndarray,
-    bank: ClassifierBank,
+    columns: Tensor,
     sample_set: SampleSet,
     s: float,
     m: float,
-    columns: Tensor | None = None,
 ) -> Tensor:
-    """Cosine-margin loss over the sampled columns only, batch mean.
+    """Cosine-margin loss over the sampled classes, batch mean.
 
-    ``columns`` is the (d, |set|) block of the sampled columns to score, as
-    the training loop gathers it; by default they are gathered from the
-    bank, and the gradient lands in ``bank.weight.grad``.
+    ``columns`` is the (d, |set|) block of the sampled classifier columns,
+    ``sampler.gather_columns(bank, sample_set)``; its gradient is the one
+    the classifier step takes.
     """
-    columns = _sampled_columns(bank, sample_set, columns)
-    local = sample_set.local_labels(labels)
-    return cosface_loss(cosine_logits(features, columns, local), s, m)
-
-
-def _sampled_columns(bank: ClassifierBank, sample_set: SampleSet, columns) -> Tensor:
-    if columns is None:
-        return ncs.gather_columns(bank, sample_set)
-    if columns.shape != (bank.dim, sample_set.size):
-        raise ShapeError(f"need a ({bank.dim}, {sample_set.size}) block of sampled columns, "
-                         f"got {columns.shape}")
-    return columns
+    columns = _checked(columns, sample_set.size, "sampled columns")
+    return cosface_loss(cosine_logits(features, columns, sample_set.local_labels(labels)), s, m)
 
 
 def _classifier_and_prototype_loss(
@@ -119,17 +115,16 @@ def _classifier_and_prototype_loss(
     m1: float,
     m2: float,
 ) -> Tensor:
-    """Classifier part over ``columns`` (the classes ``class_ids``) with margin
-    m1 plus a prototype part over the initialized ones among them with margin
-    m2, batch mean."""
+    """Classifier part over ``columns`` (the sorted classes ``class_ids``)
+    with margin m1 plus a prototype part over the initialized ones among
+    them with margin m2, batch mean."""
     ids = prototype_bank.initialized_ids(class_ids)
     parts = []
     for cols, col_ids, m, where in (
         (columns, class_ids, m1, "the classifier columns"),
         (prototype_bank.columns(ids), ids, m2, "the initialized prototypes"),
     ):
-        local = ncs.local_columns(col_ids, labels, prototype_bank.num_classes, where)
-        cos = cosine_logits(features, cols, local)
+        cos = cosine_logits(features, cols, ncs.local_columns(col_ids, labels, where))
         parts.append((cos, margin_positive(cos, MarginSpec.cosface(s, m))))
     return T.reduce_mean(margin_log_sum_exp(parts, s))
 
@@ -137,35 +132,37 @@ def _classifier_and_prototype_loss(
 def loss_stabilization(
     features: Tensor,
     labels: np.ndarray,
-    bank: ClassifierBank,
+    columns: Tensor,
     prototype_bank: PrototypeBank,
     sample_set: SampleSet,
     s: float,
     m1: float,
     m2: float,
-    columns: Tensor | None = None,
 ) -> Tensor:
     """Sampled classifier term with margin m1 plus a prototype term with
-    margin m2 over the initialized part of the same column subset.
+    margin m2 over the initialized part of the same class subset.
     ``columns`` is as for ``loss_alignment``."""
     return _classifier_and_prototype_loss(
-        features, labels, _sampled_columns(bank, sample_set, columns), sample_set.global_ids,
-        prototype_bank, s, m1, m2,
+        features, labels, _checked(columns, sample_set.size, "sampled columns"),
+        sample_set.global_ids, prototype_bank, s, m1, m2,
     )
 
 
 def loss_refinement(
     features: Tensor,
     labels: np.ndarray,
-    bank: ClassifierBank,
+    columns: Tensor,
     prototype_bank: PrototypeBank,
     s: float,
     m1: float,
     m2: float,
 ) -> Tensor:
-    """Stabilization form with the class sums over all C classes."""
+    """Stabilization form with the class sums over all C classes; ``columns``
+    is the whole (d, C) classifier, ``bank.weight``."""
+    num_classes = prototype_bank.num_classes
     return _classifier_and_prototype_loss(
-        features, labels, bank.weight, np.arange(bank.num_classes), prototype_bank, s, m1, m2
+        features, labels, _checked(columns, num_classes, "all classifier columns"),
+        np.arange(num_classes), prototype_bank, s, m1, m2,
     )
 
 
@@ -315,30 +312,24 @@ def train(
             phase = state.phase
 
             sample_set = ids = None
+            leaf = bank.weight
             if phase is not Phase.REFINEMENT:
                 sample_set = ncs.sample(dataset.num_classes, config.r, batch_labels, rng)
                 ids = sample_set.global_ids
-            # A sampled step's leaf is its own (d, |set|) class-major block.
-            leaf = (bank.weight if ids is None
-                    else Tensor(bank.weight.data[:, ids], requires_grad=True))
+                leaf = ncs.gather_columns(bank, sample_set)
             if phase is not Phase.ALIGNMENT:
                 seen = np.unique(batch_labels)
                 folded = (seen, protos.E[:, seen], protos.initialized[seen])
                 protos.batch_update(batch_labels, features.data)
 
             if phase is Phase.ALIGNMENT:
-                loss = loss_alignment(
-                    features, batch_labels, bank, sample_set, config.s, config.m, leaf
-                )
+                loss = loss_alignment(features, batch_labels, leaf, sample_set, config.s, config.m)
             elif phase is Phase.STABILIZATION:
-                loss = loss_stabilization(
-                    features, batch_labels, bank, protos, sample_set,
-                    config.s, config.m1, config.m2, leaf,
-                )
+                loss = loss_stabilization(features, batch_labels, leaf, protos, sample_set,
+                                          config.s, config.m1, config.m2)
             else:
-                loss = loss_refinement(
-                    features, batch_labels, bank, protos, config.s, config.m1, config.m2
-                )
+                loss = loss_refinement(features, batch_labels, leaf, protos,
+                                       config.s, config.m1, config.m2)
 
             css = css_score(features.data, bank.weight.data, batch_labels)
             loss.backward()

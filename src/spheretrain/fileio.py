@@ -14,7 +14,16 @@ CSV with header ``coord1,coord2,label``.
 Every reader raises ``FileFormatError`` for input that does not match its
 layout, whatever is wrong with it. Every writer, ``save_checkpoint`` too, is
 atomic: it fills a temporary file beside the target and renames it over the
-target once complete, so a failed write leaves the earlier file whole.
+target once complete, so a failed write leaves the earlier file whole. A
+durable write also survives a crash: the file is fsynced before the rename
+and its directory after it, so the target holds the old contents or the new
+ones, never an empty or torn file (Pillai et al., "All File Systems Are Not
+Created Equal", OSDI 2014). Every writer is durable but ``write_embeddings``
+and ``write_pairs``, which are durable when asked (``durable=True``; the
+command line asks): an evaluation writes both and reads them back each
+time, and their fsyncs add a few percent to a small held-out set's
+evaluation on an idle disk, and more than double it on a disk busy with
+other writes.
 """
 
 from __future__ import annotations
@@ -38,22 +47,34 @@ IMG_VERSION = 1
 
 
 @contextmanager
-def atomic_write(path: str | Path):
+def atomic_write(path: str | Path, durable: bool = True):
     """A binary handle whose contents replace ``path`` once the block ends;
-    if it raises, ``path`` is untouched and the temporary file removed."""
+    if it raises, ``path`` is untouched and the temporary file removed. A
+    ``durable`` write fsyncs the file before the rename and the directory
+    after it."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    if durable:
+        directory = os.open(Path(path).parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
-def _write_labelled(path, magic: bytes, header: tuple[int, ...], values, labels) -> None:
+def _write_labelled(path, magic: bytes, header: tuple[int, ...], values, labels,
+                    durable: bool = True) -> None:
     """Magic, u32 header fields, float32 values (row major), u32 labels."""
-    with atomic_write(path) as fh:
+    with atomic_write(path, durable) as fh:
         fh.write(magic + struct.pack(f"<{len(header)}I", *header))
         fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
@@ -79,14 +100,15 @@ def _read_labelled(path, magic: bytes, version: int, kind: str, fields: int, sha
     return values.reshape(shape).copy(), labels.astype(np.int64)
 
 
-def write_embeddings(path: str | Path, features: np.ndarray, labels: np.ndarray) -> None:
+def write_embeddings(path: str | Path, features: np.ndarray, labels: np.ndarray,
+                     durable: bool = False) -> None:
     features = np.asarray(features)
     labels = np.asarray(labels)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ShapeError(
             f"need (n, d) features and (n,) labels, got {features.shape} and {labels.shape}"
         )
-    _write_labelled(path, EMB_MAGIC, (EMB_VERSION, *features.shape), features, labels)
+    _write_labelled(path, EMB_MAGIC, (EMB_VERSION, *features.shape), features, labels, durable)
 
 
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -109,15 +131,16 @@ def read_images(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                           lambda n, w, c: (n, w, w, c))
 
 
-def _write_csv(path: str | Path, header: str, row_format: str, table: np.ndarray) -> None:
+def _write_csv(path: str | Path, header: str, row_format: str, table: np.ndarray,
+               durable: bool = True) -> None:
     text = (row_format * len(table)) % tuple(table.ravel().tolist())
-    with atomic_write(path) as fh:
+    with atomic_write(path, durable) as fh:
         fh.write(f"{header}\n{text}".encode())
 
 
-def write_pairs(path: str | Path, pairs: PairSet) -> None:
+def write_pairs(path: str | Path, pairs: PairSet, durable: bool = False) -> None:
     table = np.column_stack([pairs.index_a, pairs.index_b, pairs.is_match])
-    _write_csv(path, "id_a,id_b,is_match", "%d,%d,%d\n", table)
+    _write_csv(path, "id_a,id_b,is_match", "%d,%d,%d\n", table, durable)
 
 
 def read_pairs(path: str | Path) -> PairSet:

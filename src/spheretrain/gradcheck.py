@@ -24,7 +24,7 @@ from .losses import (
 )
 from .engine import loss_refinement, loss_stabilization
 from .prototypes import PrototypeBank
-from .sampler import sample
+from .sampler import gather_columns, sample
 from .tensor import Tensor, finite_difference_check
 
 LOSS_TOLERANCE = 1e-4
@@ -65,16 +65,18 @@ def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
     # 2 groups of 3 tokens, D = 4 split into 2 heads
     qkv = rng.standard_normal((6, 12))
     mix = Tensor(rng.standard_normal((6, 4)))
-    # parts over columns 0-3 and 4-6 whose positives are label cosines - 0.3,
-    # so the cosines reach the loss along both paths
+    # parts over columns 0-3 and 4-6, picked by 0/1 selection matrices, whose
+    # positives are label cosines - 0.3, so the cosines reach the loss along
+    # both paths
     cos = rng.uniform(-1.0, 1.0, size=(3, 7))
+    picks = [Tensor(np.eye(7)[:, ids]) for ids in (np.arange(4), np.arange(4, 7))]
     labels = rng.integers(0, 3, size=3)
     tiled, lin = rng.standard_normal((2, 2)), Tensor(rng.standard_normal((4, 2)))  # a @ b + tiled
 
     def margin_lse(t):
         return T.reduce_sum(T.margin_logsumexp([
-            (T.gather_cols(t, ids), labels, T.add(T.take_per_row(t, labels + ids[0]), -0.3))
-            for ids in (np.arange(4), np.arange(4, 7))
+            (T.matmul(t, pick), labels, T.add(T.take_per_row(t, labels + first), -0.3))
+            for pick, first in zip(picks, (0, 4))
         ], 4.0))
 
     return _results([
@@ -128,16 +130,14 @@ def check_losses(seed: int = 0) -> list[CheckResult]:
     sset = sample(weights.shape[1], 0.8, labels, proto_rng)
 
     def stage2(t):
-        bank = ClassifierBank(weight=Tensor(weights))
-        return loss_stabilization(t, labels, bank, protos, sset, 16.0, 0.4, 0.4)
+        columns = gather_columns(ClassifierBank(weight=Tensor(weights)), sset)
+        return loss_stabilization(t, labels, columns, protos, sset, 16.0, 0.4, 0.4)
 
     def stage3(t):
-        bank = ClassifierBank(weight=Tensor(weights))
-        return loss_refinement(t, labels, bank, protos, 16.0, 0.4, 0.4)
+        return loss_refinement(t, labels, Tensor(weights), protos, 16.0, 0.4, 0.4)
 
     def stage3_weights(t):
-        bank = ClassifierBank(weight=t)
-        return loss_refinement(Tensor(feats), labels, bank, protos, 16.0, 0.4, 0.4)
+        return loss_refinement(Tensor(feats), labels, t, protos, 16.0, 0.4, 0.4)
 
     return _results(checks + [
         ("stabilization/features", stage2, feats),

@@ -45,15 +45,13 @@ class ClassifierBank:
     A trained weight is column-major (class-major) in every phase, from
     ``init_random`` to the checkpoint: a class's d values are contiguous (a
     weight passed in keeps its order). A dense step takes ``weight`` itself
-    as its leaf. A sampled step gathers the selected columns once,
-    ``weight.data[:, ids]``, into a (d, |set|) leaf of its own. The loss,
-    its gradient, the optimizer's moments and update, and ``unit_columns``
-    all work on blocks of that size and order, and
-    ``AdamW.step(columns=ids)`` scatters the stepped block back once, so
-    nothing the size of (d, C) is allocated or read. ``loss_alignment`` and
-    ``loss_stabilization`` called without such a block gather through
-    ``tensor.gather_cols`` and leave a (d, C) gradient in ``weight.grad``;
-    ``renormalize_columns`` restores unit norm after that step.
+    as its leaf. A sampled step's leaf is the only other one:
+    ``sampler.gather_columns`` copies the selected columns once into a
+    (d, |set|) leaf of their own. The loss, its gradient, the optimizer's
+    moments and update, and ``unit_columns`` all work on blocks of that size
+    and order, and ``AdamW.step(columns=ids)`` scatters the stepped block
+    back once, so nothing the size of (d, C) is allocated or read and no
+    gradient ever reaches ``weight`` in a sampled step.
     """
 
     weight: Tensor
@@ -80,17 +78,6 @@ class ClassifierBank:
     @property
     def num_classes(self) -> int:
         return self.weight.shape[1]
-
-    def renormalize_columns(self, ids=None) -> None:
-        """Rescale columns back to unit norm, touching only ``ids`` if given."""
-        w = self.weight.data
-        if ids is None:
-            unit_columns(w)
-        else:
-            idx = np.asarray(ids, dtype=np.int64)
-            block = w[:, idx]
-            unit_columns(block)
-            w[:, idx] = block
 
 
 def unit_columns(block: np.ndarray) -> None:

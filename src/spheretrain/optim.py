@@ -16,18 +16,17 @@ step (``columns=None``) runs it on consecutive slices of their flat
 memory-order views, so nothing is gathered or scattered back. The update is
 elementwise, so the chunking does not change a bit.
 
-A step may be restricted to a column subset (``columns``). Then only those
-columns are checked for finite values, and the moments, the decay and the
-parameter are untouched outside them; that is what keeps unselected
-classifier columns bit-identical through an iteration. The gradient is
-either the full (d, C) one, of which only the selected columns are read, or
-just the (d, |columns|) block of those columns. A sampled training step
-passes the block: its loss is taken on a gathered block of the classifier,
-so no (d, C) gradient exists. Each chunk of the selected columns of ``m``,
-``v`` and ``param`` is gathered once, stepped, optionally projected (the
-classifier's columns back to unit norm) and scattered back once. No
-temporary spans all C columns; on a column-major parameter a column is d
-contiguous values, so the step costs O(d * |columns|), whatever C is.
+A step may be restricted to a column subset (``columns``). Its gradient is
+then the (d, |columns|) block of those columns and nothing else: a sampled
+training step takes its loss on a gathered block of the classifier
+(``sampler.gather_columns``), so no (d, C) gradient exists. The moments,
+the decay and the parameter are untouched outside the selected columns;
+that is what keeps unselected classifier columns bit-identical through an
+iteration. Each chunk of the selected columns of ``m``, ``v`` and ``param``
+is gathered once, stepped, optionally projected (the classifier's columns
+back to unit norm) and scattered back once. No temporary spans all C
+columns; on a column-major parameter a column is d contiguous values, so
+the step costs O(d * |columns|), whatever C is.
 
 ``check_finite`` is the step's own finite check, exposed so that a caller
 stepping several parameters can check every gradient before any of them
@@ -92,27 +91,23 @@ class AdamW:
     ) -> None:
         """Apply one update to ``param`` in place.
 
-        ``columns`` restricts the update (the finite check, moments, decay
-        and parameter) to the given distinct column indices of a rank-2
-        parameter. ``grad`` is then either the full gradient, of the
-        parameter's shape (a gradient of that shape is always read so), or
-        the (d, len(columns)) block whose column j belongs to parameter
-        column ``columns[j]``. ``project``, if given, rewrites the stepped
-        values in place (the stepped columns, or the whole parameter) before
-        they are stored. A dense step needs a parameter contiguous in C or F
-        order. A non-finite gradient raises ``NumericError`` with its index
-        before anything moves.
+        ``columns`` restricts the update (moments, decay and parameter) to
+        the given distinct column indices of a rank-2 parameter. ``grad`` is
+        then the (d, len(columns)) block whose column j belongs to parameter
+        column ``columns[j]``; without ``columns`` it has the parameter's
+        shape. Any other shape is a ``ShapeError``. ``project``, if given,
+        rewrites the stepped values in place (the stepped columns, or the
+        whole parameter) before they are stored. A dense step needs a
+        parameter contiguous in C or F order. A non-finite gradient raises
+        ``NumericError`` with its index before anything moves.
         """
-        grad = np.asarray(grad, dtype=np.float64)
+        g = np.asarray(grad, dtype=np.float64)
         idx = None if columns is None else np.asarray(columns, dtype=np.int64)
-        block = idx is not None and grad.shape == (param.shape[0], idx.size) != param.shape
-        if grad.shape != param.shape and not block:
-            raise ShapeError(
-                f"gradient shape {grad.shape} does not match parameter {param.shape} ({name})"
-            )
+        shape = param.shape if idx is None else (param.shape[0], idx.size)
+        if g.shape != shape:
+            raise ShapeError(f"gradient shape {g.shape} does not match {shape} ({name})")
         if idx is None and not (param.flags.c_contiguous or param.flags.f_contiguous):
             raise ShapeError(f"parameter {name!r} is contiguous in neither memory order")
-        g = grad if idx is None or block else grad[:, idx]
         self.check_finite(name, g, idx)
         if name not in self.moments:
             self.moments[name] = (np.zeros_like(param), np.zeros_like(param))

@@ -2,8 +2,11 @@
 
 Each iteration keeps every class that appears in the batch and fills the
 remaining slots with a uniform sample (without replacement) of the other
-classes, for a target size of max(1, round(C * r)). Gradients reach only the
-selected columns; all other columns stay bit-identical through the step.
+classes, for a target size of max(1, round(C * r)). ``gather_columns``
+copies the selected classifier columns into a (d, |set|) leaf of their own,
+the one column-restricted block a training step takes its loss, gradient and
+optimizer step on (``AdamW.step(columns=...)`` scatters it back), so every
+other column stays bit-identical through the step.
 
 The negatives are drawn as ranks among the non-positive classes, so no
 array of all C ids is built: a draw costs O(|set| + P log P) for P
@@ -17,21 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import DomainError, ShapeError, StateError
 from .losses import ClassifierBank
 from .tensor import Tensor
 
 
-def local_columns(ids: np.ndarray, labels, num_classes: int, where: str) -> np.ndarray:
-    """Map global labels to their positions in ``ids``; a label that is not
-    in ``ids`` is a ``StateError`` saying it is missing from ``where``."""
+def local_columns(ids: np.ndarray, labels, where: str) -> np.ndarray:
+    """Map global labels to their positions in ``ids``, which must be sorted
+    and distinct (a sample set's ids are, and so is any subset of them in
+    order); a label that is not in ``ids`` is a ``StateError`` saying it is
+    missing from ``where``."""
     labels = np.asarray(labels, dtype=np.int64)
-    lut = np.full(num_classes, -1, dtype=np.int64)
-    lut[ids] = np.arange(ids.size)
-    local = lut[labels]
-    if (local < 0).any():
-        missing = int(labels[np.argmax(local < 0)])
+    local = np.searchsorted(ids, labels)
+    hit = local < ids.size
+    hit[hit] = ids[local[hit]] == labels[hit]
+    if not hit.all():
+        missing = int(labels[np.argmin(hit)])
         raise StateError(f"positive class {missing} is missing from {where}")
     return local
 
@@ -57,7 +61,7 @@ class SampleSet:
 
     def local_labels(self, labels) -> np.ndarray:
         """Map global batch labels to local column indices within the set."""
-        return local_columns(self.global_ids, labels, self.num_classes, "the sample set")
+        return local_columns(self.global_ids, labels, "the sample set")
 
 
 def sample(num_classes: int, r: float, batch_labels, rng: np.random.Generator) -> SampleSet:
@@ -94,10 +98,10 @@ def sample(num_classes: int, r: float, batch_labels, rng: np.random.Generator) -
 
 
 def gather_columns(bank: ClassifierBank, sample_set: SampleSet) -> Tensor:
-    """Differentiable view of the selected classifier columns (d x |set|)."""
+    """The selected classifier columns, copied into a (d x |set|) leaf of
+    their own whose gradient is the block ``AdamW.step(columns=...)`` takes."""
     if sample_set.num_classes != bank.num_classes:
         raise ShapeError(
             f"sample set built for {sample_set.num_classes} classes, bank has {bank.num_classes}"
         )
-    return T.gather_cols(bank.weight, sample_set.global_ids)
-
+    return Tensor(bank.weight.data[:, sample_set.global_ids], requires_grad=True)

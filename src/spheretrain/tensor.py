@@ -484,37 +484,6 @@ def reduce_mean(a: Tensor) -> Tensor:
     return scale(reduce_sum(a), 1.0 / a.data.size)
 
 
-def gather_cols(a: Tensor, ids) -> Tensor:
-    """Select distinct columns by index; the adjoint adds gradients back into
-    those columns, leaving unselected columns with exact zeros.
-
-    The ids must be distinct (``ShapeError`` otherwise), which lets the
-    adjoint be one indexed add rather than an unbuffered ``np.add.at``. The
-    gradient buffer takes ``a``'s memory order, so for a column-major ``a``
-    the add writes whole contiguous columns.
-    """
-    if a.data.ndim != 2:
-        raise ShapeError(f"gather_cols needs a rank-2 input, got shape {a.shape}")
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("column ids must be a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise ShapeError(f"column id out of range for {a.shape[1]} columns")
-    # Increasing ids (every sample set) are distinct without a sort.
-    if not (np.diff(idx) > 0).all() and np.unique(idx).size != idx.size:
-        raise ShapeError("gather_cols needs distinct column ids")
-    data = a.data[:, idx].copy()
-
-    def backward(g: Array) -> None:
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad.T[idx] += g.T
-
-    return _make(data, (a,), backward)
-
-
 def take_per_row(a: Tensor, cols) -> Tensor:
     """Pick one entry per row, returned as an (m, 1) column."""
     if a.data.ndim != 2:

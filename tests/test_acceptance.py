@@ -35,7 +35,7 @@ from spheretrain.checkpoint import load_checkpoint
 from spheretrain.engine import loss_refinement
 from spheretrain.evaluate import make_pairs, roc_points, verification_report
 from spheretrain.gradcheck import check_encoders, check_losses
-from spheretrain.losses import ClassifierBank, MarginSpec
+from spheretrain.losses import ClassifierBank, MarginSpec, unit_columns
 from spheretrain.optim import AdamW
 from spheretrain.sampler import gather_columns, sample
 from spheretrain.tensor import Tensor
@@ -131,10 +131,10 @@ def test_criterion_3_ncs_ordering_and_untouched_columns():
         sset = sample(classes, float(rng.uniform(0.05, 0.95)), labels, rng)
         full = sample(classes, 1.0, labels, rng)
         sampled_loss = loss_alignment(
-            Tensor(feats), labels, bank, sset, 64.0, 0.4
+            Tensor(feats), labels, gather_columns(bank, sset), sset, 64.0, 0.4
         ).item()
         full_loss = loss_alignment(
-            Tensor(feats), labels, bank, full, 64.0, 0.4
+            Tensor(feats), labels, gather_columns(bank, full), full, 64.0, 0.4
         ).item()
         if sampled_loss > full_loss:
             violations += 1
@@ -147,12 +147,11 @@ def test_criterion_3_ncs_ordering_and_untouched_columns():
         feats = Tensor(unit_rows(rng, 5, 8))
         sset = sample(40, 0.2, labels, rng)
         before = bank.weight.data.copy()
-        loss = loss_alignment(feats, labels, bank, sset, 64.0, 0.4)
+        leaf = gather_columns(bank, sset)
+        loss = loss_alignment(feats, labels, leaf, sset, 64.0, 0.4)
         loss.backward()
-        opt.step("classifier", bank.weight.data, bank.weight.grad, 1e-3,
-                 weight_decay=0.1, columns=sset.global_ids)
-        bank.renormalize_columns(sset.global_ids)
-        bank.weight.zero_grad()
+        opt.step("classifier", bank.weight.data, leaf.grad, 1e-3,
+                 weight_decay=0.1, columns=sset.global_ids, project=unit_columns)
         others = np.setdiff1d(np.arange(40), sset.global_ids)
         if bank.weight.data[:, others].tobytes() != before[:, others].tobytes():
             untouched_ok = False
@@ -274,11 +273,12 @@ def test_criterion_6_prototype_contract():
     labels = rng.integers(0, 9, size=4)
     snapshot = bank.E.tobytes()
     sset = sample(9, 0.6, labels, rng)
-    loss_stabilization(feats, labels, classifier, bank, sset, 64.0, 0.4, 0.4).backward()
+    loss_stabilization(feats, labels, gather_columns(classifier, sset), bank, sset,
+                       64.0, 0.4, 0.4).backward()
     stage2_clean = bank.E.tobytes() == snapshot and feats.grad is not None
     feats3 = Tensor(feats.data, requires_grad=True)
     classifier.weight.zero_grad()
-    loss_refinement(feats3, labels, classifier, bank, 64.0, 0.4, 0.4).backward()
+    loss_refinement(feats3, labels, classifier.weight, bank, 64.0, 0.4, 0.4).backward()
     stage3_clean = bank.E.tobytes() == snapshot and feats3.grad is not None
 
     fixed = PrototypeBank(6, 1)

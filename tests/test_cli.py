@@ -1,6 +1,7 @@
 import hashlib
 import os
 import resource
+import stat
 import subprocess
 import sys
 import zipfile
@@ -285,6 +286,14 @@ class TestTrainCommand:
         cfg = write(tmp_path / "bad.cfg", "dataset = sphere\nr = 5.0\n")
         assert main(["train", "--config", cfg]) == 1
 
+    def test_training_setting_out_of_range_exits_one(self, tmp_path, sphere_train_config,
+                                                     capsys):
+        bad = write(tmp_path / "bad.cfg", open(sphere_train_config).read() + "css_beta = 1.0\n")
+        assert main(["train", "--config", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "css smoothing beta" in err
+        assert not (tmp_path / "run.csv").exists()
+
 
 class TestDataAndEvalCommands:
     def test_gen_data_sphere_with_pairs(self, tmp_path, sphere_data_spec):
@@ -498,6 +507,65 @@ class TestDataAndEvalCommands:
         assert done.returncode == 1
         assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e.lvem", "pairs.csv", "report.csv"]
+
+
+def record_durability(monkeypatch):
+    """``os.fsync`` calls, each naming a regular file or a directory, and
+    ``os.replace`` calls, each naming its target, in order."""
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recorded_fsync(fd):
+        calls.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+        return fsync(fd)
+
+    def recorded_replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    return calls
+
+
+def durable(*names):
+    """Each file fsynced, then renamed over its target, then its directory fsynced."""
+    return [call for name in names
+            for call in (("fsync", "file"), ("replace", name), ("fsync", "dir"))]
+
+
+class TestDurableWrites:
+    """Every file the command line writes survives a crash right after it
+    returns (Pillai et al., OSDI 2014)."""
+
+    def test_checkpoint_embeddings_report_and_projection(self, tmp_path, monkeypatch,
+                                                         sphere_train_config, sphere_data_spec):
+        calls = record_durability(monkeypatch)
+        assert main(["train", "--config", sphere_train_config]) == 0
+        assert calls == durable("run.lvpc")
+        emb = tmp_path / "emb.lvem"
+        calls.clear()
+        assert main(["export", "--ckpt", str(tmp_path / "run.lvpc"), "--data", sphere_data_spec,
+                     "--out", str(emb)]) == 0
+        assert calls == durable("emb.lvem")
+        calls.clear()
+        assert main(["gen-data", "--spec", sphere_data_spec,
+                     "--out", str(tmp_path / "raw.lvem")]) == 0
+        assert calls == durable("raw.lvem", "pairs.csv")
+        calls.clear()
+        assert main(["eval", "--emb", str(emb), "--pairs", str(tmp_path / "pairs.csv"),
+                     "--out", str(tmp_path / "report.csv")]) == 0
+        assert calls == durable("report.csv")
+        calls.clear()
+        assert main(["project", "--emb", str(emb), "--out", str(tmp_path / "proj.csv")]) == 0
+        assert calls == durable("proj.csv")
+
+    def test_images(self, tmp_path, monkeypatch):
+        spec = write(tmp_path / "img.cfg",
+                     "dataset = images\nnum_classes = 3\nimage_width = 8\nsamples_per_class = 2\n")
+        calls = record_durability(monkeypatch)
+        assert main(["gen-data", "--spec", spec, "--out", str(tmp_path / "d.lvim")]) == 0
+        assert calls == durable("d.lvim")
 
 
 class TestGradCheckCommand:

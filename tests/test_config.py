@@ -155,6 +155,28 @@ class TestTrainConfig:
             with pytest.raises(ConfigError, match=repr(key)):
                 TrainConfig.from_mapping({key: value})
 
+    @pytest.mark.parametrize("field, bad, edge, message", [
+        ("s", 0.0, 5e-324, "scale s"),
+        ("m", -1e-12, 0.0, "margins"),
+        ("m1", -1e-12, 0.0, "margins"),
+        ("m2", -1e-12, 0.0, "margins"),
+        ("lr_final", -1e-12, 0.0, "final learning rate"),
+        ("beta1", 1.0, 0.0, "betas"),
+        ("beta2", -1e-12, 1.0 - 2**-53, "betas"),
+        ("weight_decay", -1e-12, 0.0, "weight decay"),
+        ("batch_size", 0, 1, "batch sizes"),
+        ("batch_size_late", 0, 1, "batch sizes"),
+        ("batch_size_switch", -1, 0, "switch iteration"),
+        ("lr_decay_iterations", 0, 1, "decay horizon"),
+        ("max_iterations", 0, 1, "max_iterations"),
+        ("css_beta", 1.0, 0.0, "css smoothing beta"),
+    ])
+    def test_each_guard_rejects_out_of_range_and_keeps_its_edge(self, field, bad, edge,
+                                                                 message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**{field: bad}).validate()
+        TrainConfig(**{field: edge}).validate()
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="'seed'"):
             TrainConfig(seed=-1).validate()
@@ -361,7 +383,7 @@ class TestCheckpoint:
         for name in ("fsync", "replace"):
             monkeypatch.setattr(os, name, recorded(name))
         save_checkpoint(tmp_path / "model.lvpc", toy_checkpoint(7))
-        assert calls == ["fsync", "replace"]
+        assert calls == ["fsync", "replace", "fsync"]  # the file, then the directory
 
     def test_save_and_load_peaks_at_100k_classes(self, tmp_path):
         # the live state of a 100k-class run: column-major classifier,

@@ -21,7 +21,7 @@ from spheretrain.errors import ConfigError, NumericError, ShapeError, StateError
 from spheretrain.losses import ClassifierBank, cosface_loss, cosine_logits
 from spheretrain.optim import AdamW
 from spheretrain.prototypes import PrototypeBank
-from spheretrain.sampler import SampleSet, sample
+from spheretrain.sampler import SampleSet, gather_columns, sample
 from spheretrain.scheduler import Phase
 from spheretrain.tensor import Tensor
 
@@ -54,31 +54,36 @@ class TestStageLosses:
     def test_alignment_with_full_set_equals_plain_cosface(self):
         rng, feats, bank, labels = loss_setup(0)
         sset = sample(bank.num_classes, 1.0, labels, rng)
-        a = loss_alignment(feats, labels, bank, sset, 64.0, 0.4).item()
+        a = loss_alignment(feats, labels, gather_columns(bank, sset), sset, 64.0, 0.4).item()
         feats2 = Tensor(feats.data)
         b = cosface_loss(cosine_logits(feats2, bank.weight, labels), 64.0, 0.4).item()
         assert a == b
 
     @pytest.mark.parametrize("loss_name", ["loss_alignment", "loss_stabilization"])
     def test_gathered_block_takes_the_classifier_gradient(self, loss_name):
-        # the training loop's own (d, |set|) leaf in place of the bank's columns
+        # the training loop's own (d, |set|) leaf against the same columns
+        # picked out of the whole classifier by a 0/1 selection matrix, whose
+        # gradient reaches the selected columns of the bank and no other
         rng, feats, bank, labels = loss_setup(3, batch=6)
         sset = sample(bank.num_classes, 0.5, labels, rng)
         protos = filled_prototypes(rng, bank.dim, bank.num_classes)
         extra = (protos,) if loss_name == "loss_stabilization" else ()
         margins = (64.0, 0.4, 0.2) if extra else (64.0, 0.4)
         loss = getattr(engine, loss_name)
-        via_bank = loss(feats, labels, bank, *extra, sset, *margins)
-        block = Tensor(bank.weight.data[:, sset.global_ids], requires_grad=True)
-        via_block = loss(feats, labels, bank, *extra, sset, *margins, block)
+        picked = T.matmul(bank.weight, Tensor(np.eye(bank.num_classes)[:, sset.global_ids]))
+        via_bank = loss(feats, labels, picked, *extra, sset, *margins)
+        block = gather_columns(bank, sset)
+        via_block = loss(feats, labels, block, *extra, sset, *margins)
         assert via_block.item() == pytest.approx(via_bank.item(), rel=1e-13)
         via_bank.backward()
         via_block.backward()
         np.testing.assert_allclose(block.grad, bank.weight.grad[:, sset.global_ids],
                                    rtol=1e-12, atol=1e-14)
+        others = np.setdiff1d(np.arange(bank.num_classes), sset.global_ids)
+        assert (bank.weight.grad[:, others] == 0.0).all()
         wrong = Tensor(np.ones((bank.dim, sset.size + 1)), requires_grad=True)
         with pytest.raises(ShapeError):
-            loss(feats, labels, bank, *extra, sset, *margins, wrong)
+            loss(feats, labels, wrong, *extra, sset, *margins)
 
     def test_alignment_perfectly_separated(self):
         dim, classes = 6, 6
@@ -87,23 +92,24 @@ class TestStageLosses:
         labels = np.array([0, 1, 2])
         feats = Tensor(w.T[labels])
         sset = sample(classes, 1.0, labels, rng_for(1))
-        assert loss_alignment(feats, labels, bank, sset, 64.0, 0.4).item() < 1e-12
+        assert loss_alignment(feats, labels, bank.weight, sset, 64.0, 0.4).item() < 1e-12
 
     def test_alignment_missing_positive_rejected(self):
         _, feats, bank, labels = loss_setup(2)
         wrong = SampleSet(global_ids=np.array([int(labels[0])]), num_classes=bank.num_classes)
         bad_labels = np.full_like(labels, (labels[0] + 1) % bank.num_classes)
         with pytest.raises(StateError):
-            loss_alignment(feats, bad_labels, bank, wrong, 64.0, 0.4)
+            loss_alignment(feats, bad_labels, gather_columns(bank, wrong), wrong, 64.0, 0.4)
 
     def test_alignment_subset_never_exceeds_full(self):
         rng, feats, bank, labels = loss_setup(3)
         full = sample(bank.num_classes, 1.0, labels, rng)
-        full_loss = loss_alignment(feats, labels, bank, full, 64.0, 0.4).item()
+        full_loss = loss_alignment(feats, labels, bank.weight, full, 64.0, 0.4).item()
         for _ in range(20):
             sset = sample(bank.num_classes, float(rng.uniform(0.1, 0.9)), labels, rng)
             feats2 = Tensor(feats.data)
-            assert loss_alignment(feats2, labels, bank, sset, 64.0, 0.4).item() <= full_loss
+            sampled = loss_alignment(feats2, labels, gather_columns(bank, sset), sset, 64.0, 0.4)
+            assert sampled.item() <= full_loss
 
     def test_stabilization_gradients_skip_prototypes(self):
         rng, feats, bank, labels = loss_setup(4)
@@ -111,10 +117,11 @@ class TestStageLosses:
         snapshot = protos.E.tobytes()
         feats = Tensor(feats.data, requires_grad=True)
         sset = sample(bank.num_classes, 0.6, labels, rng)
-        loss = loss_stabilization(feats, labels, bank, protos, sset, 16.0, 0.4, 0.4)
+        block = gather_columns(bank, sset)
+        loss = loss_stabilization(feats, labels, block, protos, sset, 16.0, 0.4, 0.4)
         loss.backward()
         assert feats.grad is not None and np.abs(feats.grad).sum() > 0
-        assert bank.weight.grad is not None and np.abs(bank.weight.grad).sum() > 0
+        assert block.grad is not None and np.abs(block.grad).sum() > 0
         assert protos.E.tobytes() == snapshot
 
     def test_stabilization_restricts_to_initialized_prototypes(self):
@@ -123,7 +130,7 @@ class TestStageLosses:
         for cls in np.unique(labels):
             protos.update(int(cls), unit_rows(rng, 1, bank.dim)[0])
         sset = sample(bank.num_classes, 1.0, labels, rng)
-        loss = loss_stabilization(feats, labels, bank, protos, sset, 16.0, 0.4, 0.4)
+        loss = loss_stabilization(feats, labels, bank.weight, protos, sset, 16.0, 0.4, 0.4)
         assert np.isfinite(loss.item())
 
     def test_stabilization_uninitialized_positive_rejected(self):
@@ -131,26 +138,34 @@ class TestStageLosses:
         protos = PrototypeBank(bank.dim, bank.num_classes)  # nothing initialized
         sset = sample(bank.num_classes, 1.0, labels, rng)
         with pytest.raises(StateError):
-            loss_stabilization(feats, labels, bank, protos, sset, 16.0, 0.4, 0.4)
+            loss_stabilization(feats, labels, bank.weight, protos, sset, 16.0, 0.4, 0.4)
 
     def test_refinement_equals_stabilization_on_full_set(self):
         rng, feats, bank, labels = loss_setup(7)
         protos = filled_prototypes(rng, bank.dim, bank.num_classes)
         sset = sample(bank.num_classes, 1.0, labels, rng)
-        a = loss_stabilization(feats, labels, bank, protos, sset, 16.0, 0.4, 0.4).item()
+        a = loss_stabilization(feats, labels, gather_columns(bank, sset), protos, sset,
+                               16.0, 0.4, 0.4).item()
         feats2 = Tensor(feats.data)
-        b = loss_refinement(feats2, labels, bank, protos, 16.0, 0.4, 0.4).item()
+        b = loss_refinement(feats2, labels, bank.weight, protos, 16.0, 0.4, 0.4).item()
         assert a == b
+
+    def test_refinement_needs_every_class_column(self):
+        rng, feats, bank, labels = loss_setup(7)
+        protos = filled_prototypes(rng, bank.dim, bank.num_classes)
+        with pytest.raises(ShapeError):
+            loss_refinement(feats, labels, Tensor(bank.weight.data[:, 1:]), protos,
+                            16.0, 0.4, 0.4)
 
     def test_refinement_dominates_sampled_stabilization(self):
         rng, feats, bank, labels = loss_setup(8)
         protos = filled_prototypes(rng, bank.dim, bank.num_classes)
-        full = loss_refinement(feats, labels, bank, protos, 16.0, 0.4, 0.4).item()
+        full = loss_refinement(feats, labels, bank.weight, protos, 16.0, 0.4, 0.4).item()
         for _ in range(10):
             sset = sample(bank.num_classes, float(rng.uniform(0.2, 0.8)), labels, rng)
             feats2 = Tensor(feats.data)
             sampled = loss_stabilization(
-                feats2, labels, bank, protos, sset, 16.0, 0.4, 0.4
+                feats2, labels, gather_columns(bank, sset), protos, sset, 16.0, 0.4, 0.4
             ).item()
             assert sampled <= full
 
@@ -163,7 +178,7 @@ class TestStageLosses:
         protos = PrototypeBank(dim, classes)
         for cls in range(classes):
             protos.update(cls, w[:, cls])
-        assert loss_refinement(feats, labels, bank, protos, 64.0, 0.4, 0.4).item() < 1e-12
+        assert loss_refinement(feats, labels, bank.weight, protos, 64.0, 0.4, 0.4).item() < 1e-12
 
 
 def sphere_fixture(seed=0, classes=4, dim=16):

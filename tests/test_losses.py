@@ -21,7 +21,8 @@ from spheretrain.losses import (
     unified_margin_loss,
     unit_columns,
 )
-from spheretrain.sampler import sample
+from spheretrain.optim import AdamW
+from spheretrain.sampler import gather_columns, sample
 from spheretrain.scheduler import css_score
 from spheretrain.tensor import Tensor, finite_difference_check
 
@@ -367,10 +368,12 @@ class TestClassifierBank:
         np.testing.assert_allclose(norms, np.ones(20), atol=1e-12, rtol=0)
 
     def test_renormalize_subset_leaves_rest_untouched(self):
+        # a sampled step of zero size projects its columns, and no other
         bank = ClassifierBank.init_random(4, 6, rng_for(9))
         bank.weight.data[:, 2] *= 3.0
         before = bank.weight.data.copy()
-        bank.renormalize_columns([2])
+        AdamW().step("classifier", bank.weight.data, np.zeros((4, 1)), 0.0, columns=[2],
+                     project=unit_columns)
         untouched = [0, 1, 3, 4, 5]
         assert bank.weight.data[:, untouched].tobytes() == before[:, untouched].tobytes()
         assert abs(np.linalg.norm(bank.weight.data[:, 2]) - 1.0) < 1e-12
@@ -385,7 +388,7 @@ class TestClassifierBank:
     @example(batch=16, dim=32, classes=10, r=1.0, seed=0)
     def test_sampled_step_does_not_depend_on_the_layout(self, batch, dim, classes, r, seed):
         """The sampled loss, both gradients, the CSS score and the sampled
-        re-normalization are bit-identical on either layout."""
+        step, re-normalization included, are bit-identical on either layout."""
         rng = rng_for(seed)
         feats = unit_rows(rng, batch, dim)
         w = rng.uniform(-1.0, 1.0, size=(dim, classes))
@@ -395,12 +398,14 @@ class TestClassifierBank:
         for layout in (w.copy(), np.asfortranarray(w)):
             bank = ClassifierBank(weight=Tensor(layout, requires_grad=True))
             f = Tensor(feats, requires_grad=True)
-            loss = loss_alignment(f, labels, bank, sset, 64.0, 0.4)
+            leaf = gather_columns(bank, sset)
+            loss = loss_alignment(f, labels, leaf, sset, 64.0, 0.4)
             loss.backward()
             css = css_score(feats, bank.weight.data, labels)
-            bank.renormalize_columns(sset.global_ids)
+            AdamW().step("classifier", bank.weight.data, leaf.grad, 1e-2, 0.05,
+                         columns=sset.global_ids, project=unit_columns)
             results.append((loss.data.tobytes(), f.grad.tobytes(),
-                            bank.weight.grad.tobytes(order="C"), css,
+                            leaf.grad.tobytes(order="C"), css,
                             bank.weight.data.tobytes(order="C")))
         assert results[0] == results[1]
 
@@ -412,9 +417,10 @@ class TestClassifierBank:
         expected = w.copy()
         expected[:, ids] /= np.linalg.norm(w[:, ids], axis=0, keepdims=True)
         for layout in (w.copy(), np.asfortranarray(w)):
-            bank = ClassifierBank(weight=Tensor(layout))
-            bank.renormalize_columns(ids)
-            assert bank.weight.data.tobytes(order="C") == expected.tobytes()
+            # a sampled step of zero size: only its projection moves the columns
+            AdamW().step("classifier", layout, np.zeros((24, ids.size)), 0.0, columns=ids,
+                         project=unit_columns)
+            assert layout.tobytes(order="C") == expected.tobytes()
 
     def test_unit_columns_matches_the_whole_block_in_chunk_sized_temporaries(self):
         # The norms are taken over ranges of columns. Each shape but the first

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spheretrain import tensor as T
-from spheretrain.errors import DomainError, ShapeError
+from spheretrain.errors import DomainError, ShapeError, StateError
 from spheretrain.losses import ClassifierBank, cosface_loss, cosine_logits
-from spheretrain.sampler import SampleSet, gather_columns, sample
+from spheretrain.sampler import SampleSet, gather_columns, local_columns, sample
 from spheretrain.tensor import Tensor, finite_difference_check
 
 
@@ -20,15 +19,6 @@ def rng_for(seed):
 def unit_rows(rng, rows, dim):
     x = rng.standard_normal((rows, dim))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def gather_adjoint(grad_sub, sample_set, num_classes):
-    """The classifier gradient that backward through ``gather_columns``
-    scatters from the gathered block's gradient ``grad_sub``."""
-    w = Tensor(np.ones((grad_sub.shape[0], num_classes)), requires_grad=True)
-    sub = gather_columns(ClassifierBank(weight=w), sample_set)
-    T.reduce_sum(T.mul(sub, Tensor(grad_sub))).backward()
-    return w.grad
 
 
 class TestSample:
@@ -107,6 +97,27 @@ class TestSample:
         local = sset.local_labels([4, 17, 4])
         np.testing.assert_array_equal(sset.global_ids[local], [4, 17, 4])
 
+    @pytest.mark.parametrize("label", [-1, -3, 1, 10, 11, 2**40])
+    def test_label_outside_the_set_is_missing(self, label):
+        # -1 once wrapped round to the last id, and an id past C raised IndexError
+        with pytest.raises(StateError, match=f"positive class {label} is missing"):
+            SampleSet(global_ids=np.array([0, 3, 9]), num_classes=10).local_labels([3, label])
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.sets(st.integers(0, 500), min_size=1, max_size=60),
+           draws=st.lists(st.integers(0, 10**6), max_size=20))
+    def test_local_columns_finds_every_member(self, ids, draws):
+        ids = np.array(sorted(ids))
+        labels = ids[np.array(draws, dtype=np.int64) % ids.size]
+        local = local_columns(ids, labels, "the ids")
+        assert local.dtype == np.int64
+        np.testing.assert_array_equal(ids[local], labels)
+
+    def test_no_empty_set_holds_a_label(self):
+        assert local_columns(np.array([], dtype=np.int64), [], "nothing").size == 0
+        with pytest.raises(StateError, match="missing from nothing"):
+            local_columns(np.array([], dtype=np.int64), [0], "nothing")
+
 
 def candidate_list_sample(num_classes, r, labels, rng):
     """The draw ``sample`` made before it stopped listing all C ids: every
@@ -163,27 +174,23 @@ class TestGatherScatter:
         sub = gather_columns(bank, sset)
         np.testing.assert_array_equal(sub.data[:, 0], bank.weight.data[:, 3])
 
-    def test_gather_scatter_round_trip(self):
+    def test_block_is_a_leaf_of_its_own(self):
         rng = rng_for(13)
+        bank = ClassifierBank.init_random(4, 12, rng)
+        before = bank.weight.data.copy()
         sset = sample(12, 0.4, [1, 5], rng)
-        grad_sub = rng.standard_normal((4, sset.size))
-        full = gather_adjoint(grad_sub, sset, 12)
-        np.testing.assert_array_equal(full[:, sset.global_ids], grad_sub)
-        others = np.setdiff1d(np.arange(12), sset.global_ids)
-        assert (full[:, others] == 0.0).all()
+        sub = gather_columns(bank, sset)
+        assert sub.requires_grad and sub.shape == (4, sset.size)
+        sub.data += 1.0
+        assert bank.weight.data.tobytes() == before.tobytes()
 
-    def test_scatter_all_classes_is_inverse_permutation(self):
-        rng = rng_for(14)
-        sset = sample(6, 1.0, [0], rng)
-        grad_sub = rng.standard_normal((3, 6))
-        np.testing.assert_array_equal(gather_adjoint(grad_sub, sset, 6), grad_sub)
-
-    def test_scatter_zero_gradient(self):
-        sset = sample(5, 0.4, [2], rng_for(15))
-        out = gather_adjoint(np.zeros((3, sset.size)), sset, 5)
-        assert (out == 0).all()
+    def test_sample_set_of_another_class_count_rejected(self):
+        bank = ClassifierBank.init_random(4, 12, rng_for(14))
+        with pytest.raises(ShapeError, match="built for 13 classes"):
+            gather_columns(bank, sample(13, 0.5, [1], rng_for(15)))
 
     def test_gradient_through_gather(self):
+        # the loss's gradient lands in the gathered block, never in the bank
         rng = rng_for(17)
         feats = unit_rows(rng, 3, 5)
         labels = np.array([0, 2, 1])
@@ -191,18 +198,13 @@ class TestGatherScatter:
         sset = sample(10, 0.5, labels, rng)
         local = sset.local_labels(labels)
 
-        def f(w):
-            probe_bank = ClassifierBank(weight=w)
-            sub = gather_columns(probe_bank, sset)
+        def f(sub):
             return cosface_loss(cosine_logits(Tensor(feats), sub, local), 16.0, 0.4)
 
-        assert finite_difference_check(f, Tensor(bank.weight.data)) < 1e-5
-
-        w = Tensor(bank.weight.data.copy(), requires_grad=True)
-        f(w).backward()
-        unselected = np.setdiff1d(np.arange(10), sset.global_ids)
-        assert (w.grad[:, unselected] == 0.0).all()
-        assert np.abs(w.grad[:, sset.global_ids]).sum() > 0
+        sub = gather_columns(bank, sset)
+        assert finite_difference_check(f, Tensor(sub.data)) < 1e-5
+        f(sub).backward()
+        assert np.abs(sub.grad).sum() > 0 and bank.weight.grad is None
 
 
 class TestLossOrdering:
