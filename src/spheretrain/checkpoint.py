@@ -9,7 +9,7 @@ Members are stored uncompressed, sorted, with the fixed timestamp 1980-01-01
 00:00, so identical checkpoints are identical files. Arrays are written from
 their own buffers, column-major ones too, and read straight into the arrays
 returned: round trips are bit-exact, so resumed runs reproduce uninterrupted
-ones. Saves go through ``fileio.atomic_write`` as durable writes.
+ones. Saves go through ``fileio.atomic_write``, which fsyncs them.
 
 ``zipfile`` checks a member's CRC-32 when it is read to its end, and every
 member is; each array's dtype and size are checked before it is allocated.

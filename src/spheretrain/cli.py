@@ -166,7 +166,7 @@ def _cmd_export(args) -> int:
     mapping = parse_kv_file(args.data)
     dataset = build_dataset(mapping, get_int(mapping, "data_seed", 0))
     features = embed_dataset(encoder, dataset.inputs)
-    write_embeddings(args.out, features, dataset.labels, durable=True)
+    write_embeddings(args.out, features, dataset.labels)
     print(f"wrote {dataset.size} embeddings of dim {features.shape[1]} to {args.out}")
     return 0
 
@@ -223,7 +223,7 @@ def _cmd_gen_data(args) -> int:
             raise ConfigError(f"'pairs_{key}' must be nonnegative, got {cap}")
     dataset = build_dataset(mapping, get_int(mapping, "data_seed", 0))
     if dataset.inputs.ndim == 2:
-        write_embeddings(args.out, dataset.inputs, dataset.labels, durable=True)
+        write_embeddings(args.out, dataset.inputs, dataset.labels)
     else:
         write_images(args.out, dataset.inputs, dataset.labels)
     print(f"wrote {dataset.size} samples to {args.out}")
@@ -234,7 +234,7 @@ def _cmd_gen_data(args) -> int:
         )
         pairs = make_pairs(dataset.labels, rng, max_genuine=caps["genuine"] or None,
                            max_impostor=caps["impostor"] or None)
-        write_pairs(pairs_out, pairs, durable=True)
+        write_pairs(pairs_out, pairs)
         print(f"wrote {len(pairs)} verification pairs to {pairs_out}")
     return 0
 

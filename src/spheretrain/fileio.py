@@ -14,16 +14,11 @@ CSV with header ``coord1,coord2,label``.
 Every reader raises ``FileFormatError`` for input that does not match its
 layout, whatever is wrong with it. Every writer, ``save_checkpoint`` too, is
 atomic: it fills a temporary file beside the target and renames it over the
-target once complete, so a failed write leaves the earlier file whole. A
-durable write also survives a crash: the file is fsynced before the rename
-and its directory after it, so the target holds the old contents or the new
-ones, never an empty or torn file (Pillai et al., "All File Systems Are Not
-Created Equal", OSDI 2014). Every writer is durable but ``write_embeddings``
-and ``write_pairs``, which are durable when asked (``durable=True``; the
-command line asks): an evaluation writes both and reads them back each
-time, and their fsyncs add a few percent to a small held-out set's
-evaluation on an idle disk, and more than double it on a disk busy with
-other writes.
+target once complete, so a failed write leaves the earlier file whole. Every
+write is also durable: the file is fsynced before the rename and its
+directory after it, so after a crash the target holds the old contents or
+the new ones, never an empty or torn file (Pillai et al., "All File Systems
+Are Not Created Equal", OSDI 2014).
 """
 
 from __future__ import annotations
@@ -47,34 +42,36 @@ IMG_VERSION = 1
 
 
 @contextmanager
-def atomic_write(path: str | Path, durable: bool = True):
+def atomic_write(path: str | Path):
     """A binary handle whose contents replace ``path`` once the block ends;
-    if it raises, ``path`` is untouched and the temporary file removed. A
-    ``durable`` write fsyncs the file before the rename and the directory
-    after it."""
+    if it raises, ``path`` is untouched and the temporary file removed. The
+    file is fsynced before the rename and its directory after it. A directory
+    that cannot be opened for reading (write and search permission only) is
+    not fsynced: the new file is in place and its data on disk, but the rename
+    may not survive a crash."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
-            if durable:
-                fh.flush()
-                os.fsync(fh.fileno())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    if durable:
+    try:
         directory = os.open(Path(path).parent, os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+    except PermissionError:
+        return
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
-def _write_labelled(path, magic: bytes, header: tuple[int, ...], values, labels,
-                    durable: bool = True) -> None:
+def _write_labelled(path, magic: bytes, header: tuple[int, ...], values, labels) -> None:
     """Magic, u32 header fields, float32 values (row major), u32 labels."""
-    with atomic_write(path, durable) as fh:
+    with atomic_write(path) as fh:
         fh.write(magic + struct.pack(f"<{len(header)}I", *header))
         fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
@@ -100,15 +97,14 @@ def _read_labelled(path, magic: bytes, version: int, kind: str, fields: int, sha
     return values.reshape(shape).copy(), labels.astype(np.int64)
 
 
-def write_embeddings(path: str | Path, features: np.ndarray, labels: np.ndarray,
-                     durable: bool = False) -> None:
+def write_embeddings(path: str | Path, features: np.ndarray, labels: np.ndarray) -> None:
     features = np.asarray(features)
     labels = np.asarray(labels)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ShapeError(
             f"need (n, d) features and (n,) labels, got {features.shape} and {labels.shape}"
         )
-    _write_labelled(path, EMB_MAGIC, (EMB_VERSION, *features.shape), features, labels, durable)
+    _write_labelled(path, EMB_MAGIC, (EMB_VERSION, *features.shape), features, labels)
 
 
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -131,16 +127,15 @@ def read_images(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                           lambda n, w, c: (n, w, w, c))
 
 
-def _write_csv(path: str | Path, header: str, row_format: str, table: np.ndarray,
-               durable: bool = True) -> None:
+def _write_csv(path: str | Path, header: str, row_format: str, table: np.ndarray) -> None:
     text = (row_format * len(table)) % tuple(table.ravel().tolist())
-    with atomic_write(path, durable) as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{header}\n{text}".encode())
 
 
-def write_pairs(path: str | Path, pairs: PairSet, durable: bool = False) -> None:
+def write_pairs(path: str | Path, pairs: PairSet) -> None:
     table = np.column_stack([pairs.index_a, pairs.index_b, pairs.is_match])
-    _write_csv(path, "id_a,id_b,is_match", "%d,%d,%d\n", table, durable)
+    _write_csv(path, "id_a,id_b,is_match", "%d,%d,%d\n", table)
 
 
 def read_pairs(path: str | Path) -> PairSet:

@@ -1,6 +1,8 @@
 import builtins
 import errno
 import functools
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -539,6 +541,46 @@ class TestFileFormats:
         write(path, new)
         assert path.read_bytes() != before
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("kind", ["embeddings", "images", "pairs", "projection",
+                                      "checkpoint"])
+    def test_every_writer_is_durable(self, tmp_path, monkeypatch, kind):
+        write, value, _ = _two_writes(kind)
+        calls = _record_durability(monkeypatch)
+        write(tmp_path / "artifact", value)
+        assert calls == [("fsync", "file"), ("replace", "artifact"), ("fsync", "dir")]
+
+    def test_unreadable_directory_keeps_the_write(self, tmp_path, monkeypatch):
+        # a directory with write and search permission only cannot be opened
+        # to fsync; the file is already fsynced and in place
+        def no_read(path, flags, *args):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        calls = _record_durability(monkeypatch)
+        monkeypatch.setattr(os, "open", no_read)
+        write_pairs(tmp_path / "p.csv", PairSet([0], [1], [True]))
+        assert calls == [("fsync", "file"), ("replace", "p.csv")]
+        assert read_pairs(tmp_path / "p.csv").index_b.tolist() == [1]
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+
+def _record_durability(monkeypatch):
+    """``os.fsync`` calls, each naming a regular file or a directory, and
+    ``os.replace`` calls, each naming its target, in order."""
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recorded_fsync(fd):
+        calls.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+        return fsync(fd)
+
+    def recorded_replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    return calls
 
 
 _open = builtins.open
