@@ -1,8 +1,8 @@
 """The staged training loop.
 
 Training proceeds through three phases governed by the scheduler. Each
-phase's loss is one ``losses.margin_log_sum_exp`` over (cosines, positive)
-parts:
+phase's loss is one ``losses.margin_log_sum_exp``, a single autodiff node
+from the features and the parts' columns to the per-sample loss:
 
 * alignment: one part, the cosines to a sampled class subset with positive
   cos_y - m. Every batch positive is kept; negatives are a uniform sample of
@@ -29,7 +29,9 @@ before any parameter moves, so an abort leaves the last iteration boundary
 intact; a non-finite encoder gradient is named by parameter and index. A
 log row is emitted per iteration and a checkpoint is written at the end (or
 on abort, Ctrl-C too; an abort after an iteration has counted itself writes
-that iteration's row first, so the log and the checkpoint agree). Identical config and seed reproduce the run bit for bit.
+that iteration's row first, so the log and the checkpoint agree). Each
+iteration lets go of its graph before the next forward, so only one graph
+is alive at a time. Identical config and seed reproduce the run bit for bit.
 """
 
 from __future__ import annotations
@@ -47,15 +49,7 @@ from .checkpoint import Checkpoint, save_checkpoint
 from .config import TrainConfig
 from .data import Dataset
 from .errors import ConfigError, ShapeError
-from .losses import (
-    ClassifierBank,
-    MarginSpec,
-    cosface_loss,
-    cosine_logits,
-    margin_log_sum_exp,
-    margin_positive,
-    unit_columns,
-)
+from .losses import ClassifierBank, cosface_loss, cosine_logits, margin_log_sum_exp, unit_columns
 from .optim import AdamW
 from .prototypes import PrototypeBank
 from .sampler import SampleSet
@@ -119,14 +113,11 @@ def _classifier_and_prototype_loss(
     with margin m1 plus a prototype part over the initialized ones among
     them with margin m2, batch mean."""
     ids = prototype_bank.initialized_ids(class_ids)
-    parts = []
-    for cols, col_ids, m, where in (
-        (columns, class_ids, m1, "the classifier columns"),
-        (prototype_bank.columns(ids), ids, m2, "the initialized prototypes"),
-    ):
-        cos = cosine_logits(features, cols, ncs.local_columns(col_ids, labels, where))
-        parts.append((cos, margin_positive(cos, MarginSpec.cosface(s, m))))
-    return T.reduce_mean(margin_log_sum_exp(parts, s))
+    parts = [(cols, ncs.local_columns(col_ids, labels, where), 1.0, 0.0, m)
+             for cols, col_ids, m, where in (
+                 (columns, class_ids, m1, "the classifier columns"),
+                 (prototype_bank.columns(ids), ids, m2, "the initialized prototypes"))]
+    return T.reduce_mean(margin_log_sum_exp(features, parts, s))
 
 
 def loss_stabilization(
@@ -350,6 +341,7 @@ def train(
             rng_state = rng.bit_generator.state
             folded = None
             unlogged = (phase, loss.item(), lr)
+            del features, leaf, loss  # this iteration's graph, before the next forward
             step_scheduler(state, css, config.delta1, config.delta2, config.css_beta)
             moving = False
             rows.append(log_row(*unlogged))

@@ -19,6 +19,7 @@ from .losses import (
     ClassifierBank,
     MarginSpec,
     cosine_logits,
+    margin_log_sum_exp,
     softmax_ce_loss,
     unified_margin_loss,
 )
@@ -65,22 +66,17 @@ def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
     # 2 groups of 3 tokens, D = 4 split into 2 heads
     qkv = rng.standard_normal((6, 12))
     mix = Tensor(rng.standard_normal((6, 4)))
-    # parts over columns 0-3 and 4-6, picked by 0/1 selection matrices, whose
-    # positives are label cosines - 0.3, so the cosines reach the loss along
-    # both paths
-    cos = rng.uniform(-1.0, 1.0, size=(3, 7))
-    picks = [Tensor(np.eye(7)[:, ids]) for ids in (np.arange(4), np.arange(4, 7))]
-    labels = rng.integers(0, 3, size=3)
     tiled, lin = rng.standard_normal((2, 2)), Tensor(rng.standard_normal((4, 2)))  # a @ b + tiled
+    # two parts over unit rows and columns: every margin on the first, a
+    # constant second part with a cosine margin
+    feats, cols = _unit_rows(rng, 3, 4), _unit_rows(rng, 7, 4).T
+    labels = rng.integers(0, 3, size=3)
 
-    def margin_lse(t):
-        return T.reduce_sum(T.margin_logsumexp([
-            (T.matmul(t, pick), labels, T.add(T.take_per_row(t, labels + first), -0.3))
-            for pick, first in zip(picks, (0, 4))
-        ], 4.0))
+    def margin_lse(f, c):
+        return T.reduce_sum(T.margin_logsumexp(f, [
+            (c, labels, 1.2, 0.2, 0.1), (Tensor(cols[:, 3:]), labels, 1.0, 0.0, 0.3)], 4.0))
 
     return _results([
-        ("matmul", lambda t: T.reduce_sum(T.matmul(t, b)), a),
         ("affine", lambda t: T.reduce_sum(T.mul(T.affine(t, b, Tensor(tiled)), lin)), a),
         ("affine/bias", lambda t: T.reduce_sum(T.mul(T.affine(Tensor(a), b, t), lin)), tiled),
         ("mul", lambda t: T.reduce_sum(T.mul(t, t)), x),
@@ -89,7 +85,8 @@ def check_tensor_ops(seed: int = 0) -> list[CheckResult]:
         ("l2_normalize_rows", lambda t: T.reduce_sum(T.mul(T.l2_normalize_rows(t), probe)), w),
         ("layer_norm", lambda t: T.reduce_sum(T.mul(T.layer_norm(t, gain, bias), probe)), w),
         ("attention", lambda t: T.reduce_sum(T.mul(T.attention(t, 2, 2), mix)), qkv),
-        ("margin_logsumexp", margin_lse, cos),
+        ("margin_logsumexp/features", lambda t: margin_lse(t, Tensor(cols[:, :3])), feats),
+        ("margin_logsumexp/columns", lambda t: margin_lse(Tensor(feats), t), cols[:, :3]),
     ])
 
 
@@ -104,13 +101,12 @@ def check_losses(seed: int = 0) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(seed))
     feats, weights, labels = _loss_setup(rng)
 
-    def ce(t):
-        return softmax_ce_loss(T.matmul(t, Tensor(weights)), labels)
-
-    checks = [("softmax_ce/features", ce, feats)]
+    checks = [("softmax_ce/logits", lambda t: softmax_ce_loss(t, labels), feats @ weights)]
     specs = {
         "angular": MarginSpec.plain(16.0),
         "cosface": MarginSpec.cosface(64.0, 0.4),
+        "arcface": MarginSpec.arcface(16.0, 0.3),
+        "sphereface": MarginSpec.sphereface(16.0, 1.35),
         "unified": MarginSpec(s=16.0, m1=1.2, m2=0.2, m3=0.1),
     }
     for name, spec in specs.items():
@@ -122,6 +118,17 @@ def check_losses(seed: int = 0) -> list[CheckResult]:
 
         checks += [(f"{name}/features", wrt_features, feats),
                    (f"{name}/weights", wrt_weights, weights)]
+
+    # a classifier part and a constant second part, as the staged losses score
+    constant = Tensor(_unit_rows(rng, 4, feats.shape[1]).T)
+    two = [(1.0, 0.0, 0.4), (1.0, 0.0, 0.2)]
+
+    def two_parts(f, w):
+        parts = [(cols, labels % cols.shape[1], *m) for cols, m in zip((w, constant), two)]
+        return T.reduce_mean(margin_log_sum_exp(f, parts, 16.0))
+
+    checks += [("two_parts/features", lambda t: two_parts(t, Tensor(weights)), feats),
+               ("two_parts/weights", lambda t: two_parts(Tensor(feats), t), weights)]
 
     protos = PrototypeBank(feats.shape[1], weights.shape[1])
     proto_rng = np.random.Generator(np.random.Philox(seed + 1))

@@ -1,24 +1,21 @@
 """The angular-margin loss family over cosine logits.
 
-Every loss here operates on cosine similarities between unit-norm feature
-rows and unit-norm columns (class centers or prototypes). All of them are
-one primitive, ``margin_log_sum_exp``, over a list of parts. A part is a
-pair ``(cosines, positive)``: a ``CosineLogits`` block with each row's label
-column, and the margin-adjusted positive cosine of each row as a (B, 1)
-column. The per-sample loss is
+Every loss here scores unit-norm feature rows against unit-norm columns
+(class centers or prototypes) by their cosines. The whole family is one
+autodiff node, ``tensor.margin_logsumexp``, over a list of parts. A part is
+a block of columns, each row's label column among them and three margins;
+the per-sample loss is
 
     loss_i = log(1 + sum over parts, sum_{j != y} exp(s*cos_j - s*positive_i))
 
-which is the ArcFace combined-margin softmax (arXiv:1801.07698) when the
-positive is cos(m1*theta_y + m2) - m3. Up to three margins penalize it:
-multiplicative on the angle, additive on the angle, additive on the cosine
-(``margin_positive``). The alignment loss is one classifier part; the
-stabilization and refinement losses add a prototype part. Batches are
-reduced by mean. The sum is one autodiff node, ``tensor.margin_logsumexp``:
-a log-sum-exp over one buffer of all parts' exponents with a zero column
-standing for the leading 1, so a scale of s = 64 never overflows. Each
-row's label entry is set to -inf, which excludes it from the sum and gives
-it exactly zero gradient.
+with positive = cos(m1*theta_y + m2) - m3, the ArcFace combined-margin
+softmax (arXiv:1801.07698): multiplicative on the angle, additive on the
+angle, additive on the cosine. The node forms the clamped cosines, the
+positive and the log-sum-exp over one buffer of all parts' exponents, with a
+zero column standing for the leading 1, so a scale of s = 64 never
+overflows; each row's label entry is set to -inf, which excludes it from the
+sum. The alignment loss is one classifier part; the stabilization and
+refinement losses add a prototype part. Batches are reduced by mean.
 """
 
 from __future__ import annotations
@@ -29,11 +26,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import NumericError, ShapeError
-from .tensor import Tensor
+from .tensor import COSINE_CLAMP, Tensor
 
-# Cosines are clamped this far inside [-1, 1] before any arccos so the
-# derivative never blows up at the poles.
-COSINE_CLAMP = 1e-7
 # Entries per column range of ``unit_columns`` (128 KB of float64).
 _NORM_CHUNK_ENTRIES = 1 << 14
 
@@ -129,38 +123,26 @@ class MarginSpec:
 
 @dataclass
 class CosineLogits:
-    """Clamped cosine similarities (B x K) plus the positive column per row."""
+    """Feature rows, the columns they are scored against and each row's label
+    column: the operands of one loss part. The loss node forms the clamped
+    cosines itself; ``values`` forms them as a constant, for inspection."""
 
-    values: Tensor
+    features: Tensor
+    columns: Tensor
     label_column: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        labels = np.asarray(self.label_column, dtype=np.int64)
-        rows, cols = self.values.shape
-        if labels.shape != (rows,):
-            raise ShapeError(f"need one label per row, got {labels.shape} for {rows} rows")
-        if labels.size and (labels.min() < 0 or labels.max() >= cols):
-            raise ShapeError(f"label column out of range for {cols} columns")
-        self.label_column = labels
+    @property
+    def values(self) -> Tensor:
+        """The clamped cosines (B x K) that the loss scores."""
+        lo, hi = -1.0 + COSINE_CLAMP, 1.0 - COSINE_CLAMP
+        return Tensor(np.clip(self.features.data @ self.columns.data, lo, hi))
 
 
 def cosine_logits(features: Tensor, columns: Tensor, labels) -> CosineLogits:
-    """Dot products between unit feature rows and unit center columns.
-
-    Entries are clamped to +-(1 - 1e-7) so downstream arccos stays
-    differentiable. Gradients flow into both operands if they require grad.
-    """
-    if features.data.ndim != 2 or columns.data.ndim != 2:
-        raise ShapeError(
-            f"need rank-2 features and columns, got {features.shape} and {columns.shape}"
-        )
-    if features.shape[1] != columns.shape[0]:
-        raise ShapeError(
-            f"feature dim {features.shape[1]} does not match column dim {columns.shape[0]}"
-        )
-    raw = T.matmul(features, columns)
-    clamped = T.clip(raw, -1.0 + COSINE_CLAMP, 1.0 - COSINE_CLAMP)
-    return CosineLogits(values=clamped, label_column=labels)
+    """The cosines between unit feature rows and unit center columns, with
+    each row's label column, for a margin loss; gradients flow into both
+    operands if they require grad. Shapes are checked by the loss node."""
+    return CosineLogits(features, columns, np.asarray(labels, dtype=np.int64))
 
 
 def softmax_ce_loss(logits: Tensor, labels) -> Tensor:
@@ -173,26 +155,13 @@ def softmax_ce_loss(logits: Tensor, labels) -> Tensor:
     return T.reduce_mean(T.sub(lse, pos))
 
 
-def margin_positive(cos: CosineLogits, spec: MarginSpec) -> Tensor:
-    """The positive cosine with the margins applied, cos(m1*theta_y + m2) - m3,
-    as a (B, 1) column."""
-    pos = T.take_per_row(cos.values, cos.label_column)
-    if spec.m1 != 1.0 or spec.m2 != 0.0:
-        theta = T.arccos(pos)
-        angle = T.clip(T.add(T.scale(theta, spec.m1), spec.m2), 0.0, np.pi)
-        pos = T.cos(angle)
-    if spec.m3 != 0.0:
-        pos = T.add(pos, -spec.m3)
-    return pos
-
-
-def margin_log_sum_exp(parts: list[tuple[CosineLogits, Tensor]], s: float) -> Tensor:
-    """Per-sample log(1 + sum of exp(s*cos_j - s*positive)) over every part's
-    columns except its label column, as a (B, 1) column.
+def margin_log_sum_exp(features: Tensor, parts: list[tuple], s: float) -> Tensor:
+    """Per-sample ``tensor.margin_logsumexp`` over parts (columns, label
+    column, m1, m2, m3), as a (B, 1) column.
 
     Raises ``NumericError`` naming the first sample whose loss is not finite.
     """
-    per = T.margin_logsumexp([(cos.values, cos.label_column, pos) for cos, pos in parts], s)
+    per = T.margin_logsumexp(features, parts, s)
     bad = ~np.isfinite(per.data[:, 0])
     if bad.any():
         raise NumericError(f"non-finite loss for sample index {int(np.argmax(bad))}")
@@ -201,7 +170,8 @@ def margin_log_sum_exp(parts: list[tuple[CosineLogits, Tensor]], s: float) -> Te
 
 def unified_margin_loss(cos: CosineLogits, spec: MarginSpec) -> Tensor:
     """Batch-mean unified margin loss."""
-    return T.reduce_mean(margin_log_sum_exp([(cos, margin_positive(cos, spec))], spec.s))
+    part = (cos.columns, cos.label_column, spec.m1, spec.m2, spec.m3)
+    return T.reduce_mean(margin_log_sum_exp(cos.features, [part], spec.s))
 
 
 def cosface_loss(cos: CosineLogits, s: float, m: float) -> Tensor:

@@ -16,11 +16,11 @@ Forward passes are bit-deterministic for a fixed op order. Op outputs are
 never mutated; optimizers may rewrite leaf ``.data`` between forward passes,
 never while a graph referencing the leaf is alive. Only
 :func:`margin_logsumexp` works in place, on the exponent block it allocates
-itself and shares with no other op. A first gradient is a copy of the upstream
-array in the tensor's memory order. :func:`matmul` computes the gradient of a
-column-major right operand (the classifier or a block of it) column-major
-too, as (g^T a)^T, so that copy is contiguous. :func:`clip` builds its
-gradient mask only when some input was actually clipped or is NaN.
+itself and shares with no other op. A first gradient that an op builds fresh
+in the tensor's layout becomes the tensor's ``.grad`` as it is; one that
+aliases another buffer (``add``, ``sub`` and ``reshape`` pass the upstream
+array on) or is laid out otherwise is copied into the tensor's layout. So no
+two ``.grad`` arrays share memory, and none shares memory with any ``.data``.
 Independent graphs may be evaluated concurrently; a single graph must stay
 confined to one worker.
 """
@@ -37,6 +37,9 @@ Array = np.ndarray
 
 ZERO_ROW_THRESHOLD = 1e-12
 LAYER_NORM_EPS = 1e-5
+# Cosines are clamped this far inside [-1, 1] before any arccos so the
+# derivative never blows up at the poles.
+COSINE_CLAMP = 1e-7
 
 
 class Tensor:
@@ -132,14 +135,20 @@ def _make(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], No
     return out
 
 
-def _accumulate(t: Tensor, g: Array) -> None:
+def _accumulate(t: Tensor, g: Array, aliased: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. A first ``g`` is taken as it is when it is
+    an array of the tensor's shape and strides that nothing else holds (not
+    ``aliased``); otherwise it is copied into the tensor's layout."""
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif (not aliased and isinstance(g, np.ndarray) and g.shape == t.data.shape
+          and g.strides == t.data.strides):
+        t.grad = g
+    else:
         t.grad = np.empty_like(t.data)
         t.grad[...] = g
-    else:
-        t.grad += g
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -157,15 +166,15 @@ def add(a: Tensor, b) -> Tensor:
         data = a.data + c
 
         def backward(g: Array) -> None:
-            _accumulate(a, g)
+            _accumulate(a, g, aliased=True)
 
         return _make(data, (a,), backward)
     _require_same_shape(a, b, "add")
     data = a.data + b.data
 
     def backward(g: Array) -> None:
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(a, g, aliased=True)
+        _accumulate(b, g, aliased=True)
 
     return _make(data, (a, b), backward)
 
@@ -175,7 +184,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward(g: Array) -> None:
-        _accumulate(a, g)
+        _accumulate(a, g, aliased=True)
         _accumulate(b, -g)
 
     return _make(data, (a, b), backward)
@@ -188,35 +197,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
-
-    return _make(data, (a, b), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    data = a.data * c
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g * c)
-
-    return _make(data, (a,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g @ b.data.T)
-        # A column-major right operand (the classifier) gets a column-major
-        # gradient, so that ``_accumulate`` copies it contiguously.
-        if b.data.flags.f_contiguous and not b.data.flags.c_contiguous:
-            _accumulate(b, (g.T @ a.data).T)
-        else:
-            _accumulate(b, a.data.T @ g)
 
     return _make(data, (a, b), backward)
 
@@ -241,45 +221,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# transcendental / clamped ops
-
-
-def cos(a: Tensor) -> Tensor:
-    data = np.cos(a.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, -g * np.sin(a.data))
-
-    return _make(data, (a,), backward)
-
-
-def arccos(a: Tensor) -> Tensor:
-    """Inverse cosine. Callers clamp away from +-1; the derivative diverges there."""
-    if np.any(np.abs(a.data) > 1.0):
-        raise DomainError("arccos requires inputs in [-1, 1]")
-    data = np.arccos(a.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, -g / np.sqrt(1.0 - a.data * a.data))
-
-    return _make(data, (a,), backward)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes only where the input was in range.
-
-    The mask is built only when some input lies outside [lo, hi] or is NaN;
-    otherwise the gradient passes through unchanged, the same bits that a
-    mask of all ones gives.
-    """
-    data = np.clip(a.data, lo, hi)
-    inside = a.data.size == 0 or lo <= a.data.min() and a.data.max() <= hi
-    mask = None if inside else (a.data >= lo) & (a.data <= hi)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g if mask is None else g * mask)
-
-    return _make(data, (a,), backward)
+# elementwise nonlinearity
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
@@ -320,34 +262,70 @@ def row_logsumexp(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def margin_logsumexp(parts: Sequence[tuple[Tensor, Array, Tensor]], s: float) -> Tensor:
-    """Per-row log(1 + sum over parts of sum_{j != label} exp(s*cos_j - s*pos))
-    as a (B, 1) column; a part is (cos (B, K), label column (B,), pos (B, 1)).
+def _positive(c: Array, m1: float, m2: float, m3: float):
+    """The margin positive cos(clip(m1 * arccos(c) + m2, 0, pi)) - m3 of the
+    clamped label cosines ``c`` (the arccos form only when m1 != 1 or
+    m2 != 0), and a function taking its upstream gradient to the gradient
+    with respect to ``c``, in the op order of the unfused chain."""
+    if m1 == 1.0 and m2 == 0.0:
+        return c - m3, lambda g: g
+    raw = np.arccos(c) * m1 + m2
+    angle = np.clip(raw, 0.0, np.pi)
 
-    The exponents fill one (B, 1 + sum K) buffer: column 0 is the zero that
-    stands for the leading 1, and each label entry is -inf, so it adds exactly
-    0 and gets exactly 0 gradient. Forward and backward work in that buffer in
-    place, so the node can be walked once (``GraphError`` on a second walk).
+    def slope(g: Array) -> Array:
+        g = -g * np.sin(angle)
+        g *= (raw >= 0.0) & (raw <= np.pi)  # the angle clip passes no gradient
+        return -(g * m1) / np.sqrt(1.0 - c * c)
+
+    return np.cos(angle) - m3, slope
+
+
+def margin_logsumexp(features: Tensor, parts: Sequence[tuple[Tensor, Array, float, float, float]],
+                     s: float) -> Tensor:
+    """Per-row log(1 + sum over parts of sum_{j != y} exp(s*c_j - s*pos)) as a
+    (B, 1) column. A part is (columns (d, K), label column (B,), m1, m2, m3);
+    its cosines are c = features @ columns clamped to +-(1 - COSINE_CLAMP),
+    and pos = cos(m1 * arccos(c_y) + m2) - m3 is the margin positive of the
+    row's label entry c_y (``_positive``).
+
+    Every part's product is written into its slice of one (B, 1 + sum K)
+    exponent buffer: column 0 is the zero that stands for the leading 1, and
+    each label entry becomes -inf, so it adds exactly 0 and gets exactly 0
+    gradient from the sum. The clamp keeps a mask only when some entry was
+    clamped (or is NaN); a clamped entry passes no gradient. Forward and
+    backward work in that buffer in place, so the node can be walked once
+    (``GraphError`` on a second walk). The backward turns the buffer into
+    the gradient of the cosines and sends it on to the features and to each
+    block of columns that requires it; no other float (B x K) array is made.
     """
-    if not parts:
-        raise ShapeError("margin_logsumexp needs at least one part")
-    s, rows = float(s), parts[0][0].shape[0]
-    for cos, labels, pos in parts:
-        shapes = (cos.data.ndim, cos.shape[0], pos.shape, np.shape(labels))
-        if shapes != (2, rows, (rows, 1), (rows,)):
-            raise ShapeError(f"margin_logsumexp part of cosines {cos.shape}, labels "
-                             f"{np.shape(labels)}, positive {pos.shape} for {rows} rows")
-        if rows and not 0 <= np.min(labels) <= np.max(labels) < cos.shape[1]:
-            raise ShapeError(f"label column out of range for {cos.shape[1]} columns")
-    bounds = np.cumsum([1] + [cos.shape[1] for cos, _, _ in parts])
+    f = features.data
+    if not parts or f.ndim != 2:
+        raise ShapeError(f"margin_logsumexp needs rank-2 features and a part, got "
+                         f"{features.shape} and {len(parts)} parts")
+    rows, lim, s = f.shape[0], 1.0 - COSINE_CLAMP, float(s)
+    for cols, labels, *_ in parts:
+        if cols.data.ndim != 2 or cols.shape[0] != f.shape[1] or np.shape(labels) != (rows,):
+            raise ShapeError(f"margin_logsumexp part of columns {cols.shape} and labels "
+                             f"{np.shape(labels)} for features {features.shape}")
+        if rows and not 0 <= np.min(labels) <= np.max(labels) < cols.shape[1]:
+            raise ShapeError(f"label column out of range for {cols.shape[1]} columns")
+    bounds = np.cumsum([1] + [cols.shape[1] for cols, *_ in parts])
     row_ids = np.arange(rows)
     e = np.empty((rows, int(bounds[-1])))
     e[:, 0] = 0.0
-    for (cos, labels, pos), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-        block = e[:, lo:hi]
-        np.multiply(cos.data, s, out=block)
-        block += pos.data * -s
+    saved = []
+    for (cols, labels, m1, m2, m3), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        block, labels = e[:, lo:hi], np.asarray(labels, dtype=np.int64)
+        np.matmul(f, cols.data, out=block)
+        mask = None
+        if block.size and not (-lim <= block.min() and block.max() <= lim):
+            mask = (block >= -lim) & (block <= lim)
+            np.clip(block, -lim, lim, out=block)
+        pos, slope = _positive(block[row_ids, labels], float(m1), float(m2), float(m3))
+        block *= s
+        block += (pos * -s)[:, None]
         block[row_ids, labels] = -np.inf
+        saved.append((cols, labels, mask, slope, lo, hi))
     m = e.max(axis=1, keepdims=True)
     e -= m
     np.exp(e, out=e)
@@ -361,13 +339,27 @@ def margin_logsumexp(parts: Sequence[tuple[Tensor, Array, Tensor]], s: float) ->
         p, e = e, None  # the exponents become the gradient in place
         p /= total
         p *= g
-        for (cos, _, pos), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        grad_f = None  # summed from the last part to the first, as the unfused chain did
+        for cols, labels, mask, slope, lo, hi in reversed(saved):
             block = p[:, lo:hi]
-            _accumulate(pos, block.sum(axis=1, keepdims=True) * -s)
+            g_pos = block.sum(axis=1) * -s
             block *= s
-            _accumulate(cos, block)
+            block[row_ids, labels] += slope(g_pos)  # entries that hold exact zeros
+            if mask is not None:
+                block *= mask
+            if features.requires_grad:
+                part = block @ cols.data.T
+                grad_f = part if grad_f is None else grad_f + part
+            if cols.requires_grad:
+                # a column-major block (the classifier) gets a column-major gradient
+                if cols.data.flags.f_contiguous and not cols.data.flags.c_contiguous:
+                    _accumulate(cols, (block.T @ f).T)
+                else:
+                    _accumulate(cols, f.T @ block)
+        if grad_f is not None:
+            _accumulate(features, grad_f)
 
-    return _make(data, [t for cos, _, pos in parts for t in (cos, pos)], backward)
+    return _make(data, (features, *(cols for cols, *_ in parts)), backward)
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
@@ -465,7 +457,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward(g: Array) -> None:
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(a, g.reshape(a.shape), aliased=True)
 
     return _make(data, (a,), backward)
 
@@ -481,7 +473,14 @@ def reduce_sum(a: Tensor) -> Tensor:
 
 
 def reduce_mean(a: Tensor) -> Tensor:
-    return scale(reduce_sum(a), 1.0 / a.data.size)
+    """The mean of every entry, a scalar: the sum times 1/size."""
+    c = 1.0 / a.data.size
+    data = a.data.sum() * c
+
+    def backward(g: Array) -> None:
+        _accumulate(a, np.full_like(a.data, float(g * c)))
+
+    return _make(np.asarray(data, dtype=np.float64), (a,), backward)
 
 
 def take_per_row(a: Tensor, cols) -> Tensor:

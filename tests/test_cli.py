@@ -1,10 +1,13 @@
 import hashlib
+import io
 import os
 import resource
 import stat
+import struct
 import subprocess
 import sys
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +76,35 @@ pairs_out = {tmp_path}/pairs.csv
 pairs_impostor = 400
 """,
     )
+
+
+def damaged_member(blob: bytes, name: str, how: str) -> bytes:
+    """The checkpoint archive ``blob`` with member ``name`` deflated
+    ("compressed"), rewritten as an npy 2.0 file ("npy-2.0"), or stored 8
+    bytes short of its array behind sizes and a CRC-32 that agree with the
+    cut ("short"), each a well-formed zip archive otherwise."""
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+        info = zf.getinfo(name)
+    if how == "short":
+        data, out = members[name][:-8], bytearray(blob)
+        central = blob.index(b"PK\x01\x02")  # this member's central directory record
+        while blob[central + 46:central + 46 + len(name)] != name.encode():
+            central = blob.index(b"PK\x01\x02", central + 4)
+        for at in (info.header_offset + 14, central + 16):  # CRC-32, then compressed size
+            struct.pack_into("<II", out, at, zlib.crc32(data), len(data))
+        return bytes(out)
+    if how == "npy-2.0":
+        arr = np.load(io.BytesIO(members[name]))
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, arr, version=(2, 0))
+        members[name] = buf.getvalue()
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for member, data in members.items():
+            deflate = how == "compressed" and member == name
+            zf.writestr(member, data, zipfile.ZIP_DEFLATED if deflate else zipfile.ZIP_STORED)
+    return out.getvalue()
 
 
 VIT_ARCH = {"kind": "vit", "image_width": 8, "patch_stride": 4, "token_dim": 8, "layers": 1,
@@ -146,6 +178,21 @@ class TestTrainCommand:
         assert main(["train", "--config", sphere_train_config, "--resume", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"version {version}" in err
+
+    @pytest.mark.parametrize("how, message", [
+        ("compressed", "a member is compressed"),
+        ("npy-2.0", "member 'classifier.npy' is not an npy 1.0 file"),
+        ("short", "member 'classifier.npy' does not hold its array"),
+    ])
+    def test_resume_from_a_checkpoint_with_a_bad_member_exits_one(
+            self, tmp_path, sphere_train_config, capsys, how, message):
+        assert main(["train", "--config", sphere_train_config]) == 0
+        bad = tmp_path / "bad.lvpc"
+        bad.write_bytes(damaged_member((tmp_path / "run.lvpc").read_bytes(), "classifier.npy", how))
+        capsys.readouterr()
+        assert main(["train", "--config", sphere_train_config, "--resume", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("corrupt", [
         lambda c: setattr(c, "prototypes", c.prototypes[:, :4]),
@@ -447,6 +494,25 @@ class TestDataAndEvalCommands:
         pairs.write_text("id_a,id_b,is_match\n0,1,1\n")
         assert main(["eval", "--emb", str(emb), "--pairs", str(pairs)]) == 1
 
+
+    def test_eval_of_an_embedding_file_of_another_version_exits_one(self, tmp_path, capsys):
+        emb, pairs = tmp_path / "emb.lvem", tmp_path / "pairs.csv"
+        write_embeddings(emb, np.eye(4), np.array([0, 0, 1, 1]))
+        raw = bytearray(emb.read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")
+        emb.write_bytes(raw)
+        pairs.write_text("id_a,id_b,is_match\n0,1,1\n0,2,0\n")
+        assert main(["eval", "--emb", str(emb), "--pairs", str(pairs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unsupported embedding file version 2" in err
+
+    def test_eval_without_genuine_pairs_exits_one(self, tmp_path, capsys):
+        emb, pairs = tmp_path / "emb.lvem", tmp_path / "pairs.csv"
+        write_embeddings(emb, np.eye(4), np.array([0, 0, 1, 1]))
+        pairs.write_text("id_a,id_b,is_match\n0,2,0\n1,3,0\n")
+        assert main(["eval", "--emb", str(emb), "--pairs", str(pairs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no genuine pairs" in err
 
     @pytest.mark.parametrize("command", ["train", "eval", "gen-data"])
     def test_a_path_through_a_regular_file_exits_one(self, tmp_path, sphere_train_config,

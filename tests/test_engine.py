@@ -70,7 +70,8 @@ class TestStageLosses:
         extra = (protos,) if loss_name == "loss_stabilization" else ()
         margins = (64.0, 0.4, 0.2) if extra else (64.0, 0.4)
         loss = getattr(engine, loss_name)
-        picked = T.matmul(bank.weight, Tensor(np.eye(bank.num_classes)[:, sset.global_ids]))
+        select = Tensor(np.eye(bank.num_classes)[:, sset.global_ids])
+        picked = T.affine(bank.weight, select, Tensor(np.zeros(sset.size)))
         via_bank = loss(feats, labels, picked, *extra, sset, *margins)
         block = gather_columns(bank, sset)
         via_block = loss(feats, labels, block, *extra, sset, *margins)
@@ -643,3 +644,32 @@ def test_sampled_iteration_allocation_does_not_grow_with_classes(monkeypatch):
     # A (d, C) gradient alone would add d * C * 8 = 23 MB at C = 100k over 10k.
     assert abs(large - small) < 0.01 * small, f"peak {large} bytes at C = 100k vs {small} at 10k"
 
+
+
+def test_an_alignment_run_at_100k_classes_holds_one_graph_at_a_time(tmp_path, monkeypatch):
+    # Live state is 4 (d, C) blocks: classifier, both moments and prototypes.
+    # Each iteration lets go of its graph before the next forward, so the
+    # state at each iteration's end stays under 4.2 blocks; and the loss
+    # makes no (B x C)-sized temporary beyond its exponent buffer, so ten
+    # sampled iterations and the checkpoint save peak under 4.9 blocks.
+    classes, dim = 100_000, 32
+    block = dim * classes * 8
+    rng = rng_for(31)
+    ds = Dataset(inputs=rng.standard_normal((640, 32)),
+                 labels=rng.integers(0, classes, size=640), num_classes=classes)
+    cfg = TrainConfig(seed=3, max_iterations=10, batch_size=64, r=0.1, delta1=1.0, delta2=1.0)
+    step_scheduler, held = engine.step_scheduler, []
+
+    def counted(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return step_scheduler(*args)
+
+    monkeypatch.setattr(engine, "step_scheduler", counted)
+    tracemalloc.start()
+    try:
+        train(cfg, ds, MLPEncoder(32, 64, dim), checkpoint_path=tmp_path / "c.lvpc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 10 and max(held) <= 4.2 * block, [f"{h / block:.2f}" for h in held]
+    assert peak <= 4.9 * block, f"peak {peak / block:.2f} blocks"

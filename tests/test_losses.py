@@ -16,7 +16,6 @@ from spheretrain.losses import (
     cosface_loss,
     cosine_logits,
     margin_log_sum_exp,
-    margin_positive,
     softmax_ce_loss,
     unified_margin_loss,
     unit_columns,
@@ -36,8 +35,17 @@ def unit_rows(rng, rows, dim):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def cosines_of(values, labels, requires_grad=False):
+    """Logits whose cosines are exactly ``values`` (B x K): unit-basis
+    feature rows against the columns ``values``, so the columns' gradient
+    is the cosines' own."""
+    values = Tensor(np.asarray(values, dtype=np.float64), requires_grad=requires_grad)
+    return cosine_logits(Tensor(np.eye(values.shape[0])), values, labels)
+
+
 def per_sample(cos, spec):
-    return margin_log_sum_exp([(cos, margin_positive(cos, spec))], spec.s).data
+    part = (cos.columns, cos.label_column, spec.m1, spec.m2, spec.m3)
+    return margin_log_sum_exp(cos.features, [part], spec.s).data
 
 
 def random_setup(seed, batch=4, dim=8, classes=6):
@@ -70,12 +78,14 @@ class TestCosineLogits:
                 assert abs(cos.values.data[i, j] - expected) < 1e-12
 
     def test_dimension_mismatch(self):
+        cos = cosine_logits(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), [0, 1])
         with pytest.raises(ShapeError):
-            cosine_logits(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), [0, 1])
+            unified_margin_loss(cos, MarginSpec.plain(16.0))
 
     def test_label_out_of_range(self):
+        cos = CosineLogits(Tensor(np.eye(1)), Tensor(np.zeros((1, 2))), label_column=[5])
         with pytest.raises(ShapeError):
-            CosineLogits(values=Tensor(np.zeros((1, 2))), label_column=[5])
+            unified_margin_loss(cos, MarginSpec.plain(16.0))
 
 
 class TestSoftmaxCE:
@@ -91,10 +101,7 @@ class TestSoftmaxCE:
 
     def test_gradient(self):
         feats, weights, labels = random_setup(1)
-        err = finite_difference_check(
-            lambda t: softmax_ce_loss(T.matmul(t, Tensor(weights)), labels),
-            Tensor(feats),
-        )
+        err = finite_difference_check(lambda t: softmax_ce_loss(t, labels), Tensor(feats @ weights))
         assert err < 1e-6
 
     def test_label_out_of_range(self):
@@ -104,21 +111,19 @@ class TestSoftmaxCE:
 
 class TestUnifiedMargin:
     def test_symmetric_two_way_is_ln2(self):
-        cos = CosineLogits(values=Tensor([[0.3, 0.3]]), label_column=[0])
+        cos = cosines_of([[0.3, 0.3]], [0])
         loss = unified_margin_loss(cos, MarginSpec.plain(11.0))
         assert abs(loss.item() - np.log(2.0)) < 1e-12
 
     def test_cosface_perfectly_separated(self):
-        cos = CosineLogits(
-            values=Tensor([[1.0 - COSINE_CLAMP, -1.0 + COSINE_CLAMP]]), label_column=[0]
-        )
+        cos = cosines_of([[1.0 - COSINE_CLAMP, -1.0 + COSINE_CLAMP]], [0])
         loss = cosface_loss(cos, 64.0, 0.4)
         assert loss.item() < 1e-12
 
     def test_cosface_symmetric_closed_form(self):
         # one negative at the same cosine as the positive: log(1 + e^(s*m))
         s, m = 64.0, 0.4
-        cos = CosineLogits(values=Tensor([[0.5, 0.5]]), label_column=[0])
+        cos = cosines_of([[0.5, 0.5]], [0])
         expected = s * m + np.log1p(np.exp(-s * m))
         assert abs(cosface_loss(cos, s, m).item() - expected) < 1e-9
 
@@ -154,7 +159,7 @@ class TestUnifiedMargin:
             feats, weights, labels = random_setup(seed + 20)
             cos = cosine_logits(Tensor(feats), Tensor(weights), labels)
             a = unified_margin_loss(cos, MarginSpec.plain(64.0)).item()
-            b = softmax_ce_loss(T.scale(Tensor(cos.values.data), 64.0), labels).item()
+            b = softmax_ce_loss(Tensor(cos.values.data * 64.0), labels).item()
             assert abs(a - b) < 1e-10
 
     def test_extra_negative_never_decreases_loss(self):
@@ -164,11 +169,9 @@ class TestUnifiedMargin:
             values = rng.uniform(-0.99, 0.99, size=(batch, cols))
             labels = rng.integers(0, cols, size=batch)
             extra = rng.uniform(-0.99, 0.99, size=(batch, 1))
-            small = per_sample(CosineLogits(Tensor(values), labels), MarginSpec.cosface(64.0, 0.4))
-            grown = per_sample(
-                CosineLogits(Tensor(np.hstack([values, extra])), labels),
-                MarginSpec.cosface(64.0, 0.4),
-            )
+            small = per_sample(cosines_of(values, labels), MarginSpec.cosface(64.0, 0.4))
+            grown = per_sample(cosines_of(np.hstack([values, extra]), labels),
+                               MarginSpec.cosface(64.0, 0.4))
             assert (grown >= small).all()
 
     def test_negative_permutation_invariance(self):
@@ -184,18 +187,14 @@ class TestUnifiedMargin:
 
     def test_loss_monotone_in_logits(self):
         feats, weights, labels = random_setup(5, batch=3, classes=4)
-        values = Tensor(
-            np.clip(feats @ weights, -0.99, 0.99), requires_grad=True
-        )
-        loss = unified_margin_loss(
-            CosineLogits(values, labels), MarginSpec.cosface(16.0, 0.4)
-        )
+        cos = cosines_of(np.clip(feats @ weights, -0.99, 0.99), labels, requires_grad=True)
+        loss = unified_margin_loss(cos, MarginSpec.cosface(16.0, 0.4))
         loss.backward()
         rows = np.arange(3)
-        assert (values.grad[rows, labels] <= 0).all()
+        assert (cos.columns.grad[rows, labels] <= 0).all()
         mask = np.ones((3, 4), dtype=bool)
         mask[rows, labels] = False
-        assert (values.grad[mask] >= 0).all()
+        assert (cos.columns.grad[mask] >= 0).all()
 
     @pytest.mark.parametrize("s", [1.0, 16.0, 64.0])
     def test_gradients_across_scales(self, s):
@@ -220,9 +219,9 @@ class TestUnifiedMargin:
         assert arc > plain
 
     def test_non_finite_input_reports_sample(self):
-        values = Tensor(np.array([[0.1, 0.2], [np.nan, 0.3]]))
+        cos = cosine_logits(Tensor([[1.0], [np.nan]]), Tensor([[0.1, 0.2]]), [0, 0])
         with pytest.raises(NumericError, match="sample index 1"):
-            unified_margin_loss(CosineLogits(values, [0, 0]), MarginSpec.plain(4.0))
+            unified_margin_loss(cos, MarginSpec.plain(4.0))
 
 
 class TestMarginSpec:
@@ -242,13 +241,9 @@ class TestRatioCombiner:
     def test_engineered_symmetric_inputs_give_ln3(self):
         # both ratio terms equal one: cos_j = cos_y - m on each side
         s, m1, m2 = 8.0, 0.4, 0.4
-        cos_w = CosineLogits(Tensor([[0.5, 0.1]]), [0])
-        cos_e = CosineLogits(Tensor([[0.6, 0.2]]), [0])
-        parts = [
-            (cos_w, margin_positive(cos_w, MarginSpec.cosface(s, m1))),
-            (cos_e, margin_positive(cos_e, MarginSpec.cosface(s, m2))),
-        ]
-        per = margin_log_sum_exp(parts, s)
+        parts = [(Tensor([[0.5, 0.1]]), [0], 1.0, 0.0, m1),
+                 (Tensor([[0.6, 0.2]]), [0], 1.0, 0.0, m2)]
+        per = margin_log_sum_exp(Tensor(np.eye(1)), parts, s)
         assert abs(per.data[0, 0] - np.log(3.0)) < 1e-12
 
     def test_prototype_term_vanishes_when_far(self):
@@ -259,10 +254,7 @@ class TestRatioCombiner:
         k = 10
         values = np.zeros((1, k + 1))
         values[0, 0] = 1.0 - COSINE_CLAMP
-        cos_e = CosineLogits(Tensor(values), [0])
-        per = margin_log_sum_exp(
-            [(cos_e, margin_positive(cos_e, MarginSpec.cosface(s, m2)))], s
-        )
+        per = margin_log_sum_exp(Tensor(np.eye(1)), [(Tensor(values), [0], 1.0, 0.0, m2)], s)
         assert per.data[0, 0] < 1e-12
 
 
@@ -284,11 +276,8 @@ def margin_parts(draw):
 
 def primitive(parts, s):
     """The primitive under test on plain-data parts, per sample."""
-    built = []
-    for values, labels, m in parts:
-        cos = CosineLogits(Tensor(values), labels)
-        built.append((cos, margin_positive(cos, MarginSpec.cosface(s, m))))
-    return margin_log_sum_exp(built, s).data[:, 0]
+    built = [(Tensor(values), labels, 1.0, 0.0, m) for values, labels, m in parts]
+    return margin_log_sum_exp(Tensor(np.eye(len(parts[0][1]))), built, s).data[:, 0]
 
 
 def reference(parts, s):
@@ -342,23 +331,22 @@ class TestMarginLogSumExp:
 
     @pytest.mark.parametrize("widths", [(10_000,), (10_000, 2_000)])
     def test_dense_forward_and_backward_allocate_few_blocks(self, widths):
-        # The full-class (refinement) width: forward plus backward may hold at
-        # most 5 arrays of the (B, 1 + sum K) exponent block at once.
+        # The full-class (refinement) width: forward plus backward hold the
+        # (B, 1 + sum K) exponent block and the columns' (d, K) gradient, half
+        # a block here, and no other array of that size: at most 2 blocks.
         rng = rng_for(50)
-        rows = 64
-        parts = []
-        for k in widths:
-            cos = CosineLogits(Tensor(rng.uniform(-1.0, 1.0, size=(rows, k)), requires_grad=True),
-                               rng.integers(0, k, size=rows))
-            parts.append((cos, margin_positive(cos, MarginSpec.cosface(64.0, 0.4))))
+        rows, dim = 64, 32
+        feats = Tensor(unit_rows(rng, rows, dim), requires_grad=True)
+        parts = [(Tensor(np.asfortranarray(unit_rows(rng, k, dim).T), requires_grad=True),
+                  rng.integers(0, k, size=rows), 1.0, 0.0, 0.4) for k in widths]
         block = rows * (1 + sum(widths)) * 8
         tracemalloc.start()
         try:
-            T.reduce_mean(margin_log_sum_exp(parts, 64.0)).backward()
+            T.reduce_mean(margin_log_sum_exp(feats, parts, 64.0)).backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * block, f"peak {peak / block:.2f} blocks"
+        assert peak <= 2 * block, f"peak {peak / block:.2f} blocks"
 
 
 class TestClassifierBank:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from spheretrain import tensor as T
 from spheretrain.errors import DomainError, ShapeError, StateError
-from spheretrain.losses import COSINE_CLAMP, cosine_logits
+from spheretrain.losses import COSINE_CLAMP, cosface_loss, cosine_logits
 from spheretrain.prototypes import PrototypeBank, _logistic
 from spheretrain.tensor import Tensor
 
@@ -166,9 +165,9 @@ class TestCosToPrototypes:
             bank.update(cls, unit_rows(rng, 1, 5)[0])
         snapshot = bank.E.tobytes()
         feats = Tensor(unit_rows(rng, 2, 5), requires_grad=True)
-        out = T.reduce_sum(cos_to_prototypes(bank, feats, [0, 1, 2]))
-        out.backward()
-        assert feats.grad is not None
+        columns = bank.columns([0, 1, 2])
+        cosface_loss(cosine_logits(feats, columns, [0, 2]), 16.0, 0.2).backward()
+        assert feats.grad is not None and columns.grad is None
         assert bank.E.tobytes() == snapshot
 
     def test_initialized_ids_filters(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spheretrain import tensor as T
 from spheretrain.errors import DegenerateInputError, DomainError, GraphError, ShapeError
-from spheretrain.tensor import Tensor, finite_difference_check
+from spheretrain.tensor import COSINE_CLAMP, Tensor, finite_difference_check
 
 
 def rng_for(seed):
@@ -13,43 +13,61 @@ def rng_for(seed):
 
 
 class TestMatmul:
+    """The cosine product inside ``margin_logsumexp``, features @ columns."""
+
     def test_identity(self):
+        # an identity on either side leaves the cosine block itself, so both
+        # sides see the same loss and the same gradient bytes
         rng = rng_for(0)
-        a = rng.standard_normal((5, 3))
-        out = T.matmul(Tensor(a), Tensor(np.eye(3)))
-        np.testing.assert_array_equal(out.data, a)
+        v = rng.uniform(-0.9, 0.9, size=(5, 3))
+        labels = np.array([0, 2, 1, 1, 0])
+        f, c = Tensor(v, requires_grad=True), Tensor(v.copy(), requires_grad=True)
+        by_features = T.margin_logsumexp(f, [(Tensor(np.eye(3)), labels, 1.0, 0.0, 0.2)], 8.0)
+        by_columns = T.margin_logsumexp(Tensor(np.eye(5)), [(c, labels, 1.0, 0.0, 0.2)], 8.0)
+        assert by_features.data.tobytes() == by_columns.data.tobytes()
+        T.reduce_sum(by_features).backward()
+        T.reduce_sum(by_columns).backward()
+        assert f.grad.tobytes() == c.grad.tobytes()
 
     def test_hand_arithmetic(self):
-        out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
+        # cosines [0.5, 0.25] by hand; label 1, s = 2: log(1 + e^(2*0.5 - 2*0.25))
+        out = T.margin_logsumexp(Tensor([[0.5, 0.25]]),
+                                 [(Tensor([[0.5, 1.0], [1.0, -1.0]]), np.array([1]), 1, 0, 0)],
+                                 2.0)
+        assert out.data[0, 0] == pytest.approx(np.log1p(np.exp(0.5)), rel=1e-15)
 
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            T.margin_logsumexp(Tensor(np.zeros((2, 3))),
+                               [(Tensor(np.zeros((2, 3))), np.array([0, 1]), 1, 0, 0)], 1.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = rng_for(1)
-        b = Tensor(rng.standard_normal((3, 2)))
-        a0 = Tensor(rng.standard_normal((4, 3)))
-        err = finite_difference_check(
-            lambda a: T.reduce_sum(T.matmul(a, b)), a0, eps=1e-5
-        )
-        assert err < 1e-6
-        a = Tensor(rng.standard_normal((4, 3)))
-        err = finite_difference_check(
-            lambda t: T.reduce_sum(T.matmul(a, t)), Tensor(b.data), eps=1e-5
-        )
-        assert err < 1e-6
+        f, c = rng.uniform(-0.5, 0.5, size=(4, 3)), rng.uniform(-0.5, 0.5, size=(3, 2))
+        labels = np.array([0, 1, 1, 0])
+
+        def objective(f, c):
+            return T.reduce_sum(T.margin_logsumexp(f, [(c, labels, 1.0, 0.0, 0.1)], 3.0))
+
+        assert finite_difference_check(lambda t: objective(t, Tensor(c)), Tensor(f)) < 1e-6
+        assert finite_difference_check(lambda t: objective(Tensor(f), t), Tensor(c)) < 1e-6
 
     def test_column_major_right_operand_gradient(self):
-        # a gathered classifier block: (g^T a)^T, the same values, column-major
+        # a classifier block: (g^T f)^T, the same values, column-major, and
+        # it becomes the block's gradient with no copy
         rng = rng_for(2)
-        a = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-        g = rng.standard_normal((6, 5))
-        b = Tensor(np.asfortranarray(rng.standard_normal((4, 5))), requires_grad=True)
-        T.reduce_sum(T.mul(T.matmul(a, b), Tensor(g))).backward()
-        np.testing.assert_allclose(b.grad, a.data.T @ g, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=1e-14, atol=1e-15)
+        f = rng.uniform(-0.4, 0.4, size=(6, 4))
+        c = rng.uniform(-0.4, 0.4, size=(4, 5))
+        labels = rng.integers(0, 5, size=6)
+        grads = []
+        for layout in (c.copy(), np.asfortranarray(c)):
+            cols = Tensor(layout, requires_grad=True)
+            T.reduce_sum(T.margin_logsumexp(Tensor(f), [(cols, labels, 1.0, 0.0, 0.2)], 8.0)
+                         ).backward()
+            assert cols.grad.flags.f_contiguous == layout.flags.f_contiguous
+            assert cols.grad.flags.c_contiguous == layout.flags.c_contiguous
+            grads.append(cols.grad)
+        np.testing.assert_allclose(grads[1], grads[0], rtol=1e-14, atol=1e-15)
 
 
 class TestAffine:
@@ -273,103 +291,150 @@ class TestAttention:
             T.attention(Tensor(np.zeros((4, 12))), 2, 3)
 
 
-def margin_lse_oracle(parts, s, g):
-    """The exponent chain the fused op replaces, in plain numpy: a zero column,
-    cos*s + pos*(-s) per part, a boolean mask over the label entries,
-    ``np.where``, a max shift; backward slices (e / total) * g per part."""
-    rows = parts[0][0].shape[0]
-    blocks, masks = [np.zeros((rows, 1))], [np.ones((rows, 1), dtype=bool)]
-    for cos, labels, pos in parts:
-        blocks.append(cos * s + pos * (-s))
-        mask = np.ones(cos.shape, dtype=bool)
-        mask[np.arange(rows), labels] = False
-        masks.append(mask)
-    a, mask = np.concatenate(blocks, axis=1), np.concatenate(masks, axis=1)
-    m = np.where(mask, a, -np.inf).max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(a - m), 0.0)
+LIM = 1.0 - COSINE_CLAMP
+
+
+def margin_lse_oracle(f, parts, s, g):
+    """The unfused chain the op replaces, in plain numpy and its op order:
+    per part c = clip(f @ columns), the margin positive of the label entry,
+    c*s + pos*(-s) with -inf at the labels after a zero column, a max-shifted
+    log-sum-exp; backward by the chain rule op by op, the features' gradient
+    summed from the last part to the first."""
+    rows = np.arange(f.shape[0])
+    blocks, saved = [np.zeros((f.shape[0], 1))], []
+    for cols, labels, m1, m2, m3 in parts:
+        raw = f @ cols
+        c = np.clip(raw, -LIM, LIM)
+        cy = c[rows, labels][:, None]
+        pos = cy
+        if m1 != 1.0 or m2 != 0.0:
+            theta = np.arccos(cy)
+            angle_raw = theta * m1 + m2
+            angle = np.clip(angle_raw, 0.0, np.pi)
+            pos = np.cos(angle)
+        else:
+            angle_raw = angle = None
+        pos = pos - m3
+        a = c * s + pos * (-s)
+        a[rows, labels] = -np.inf
+        blocks.append(a)
+        saved.append((raw, cy, angle_raw, angle))
+    a = np.concatenate(blocks, axis=1)
+    m = a.max(axis=1, keepdims=True)
+    e = np.exp(a - m)
     total = e.sum(axis=1, keepdims=True)
-    p = (e / total) * g
-    grads, lo = [], 1
-    for cos, _, _ in parts:
-        block = p[:, lo:lo + cos.shape[1]].copy()
-        grads.append((block * s, block.sum(axis=1, keepdims=True) * (-s)))
-        lo += cos.shape[1]
-    return m + np.log(total), grads
+    p = e / total * g
+    bounds = np.cumsum([1] + [cols.shape[1] for cols, *_ in parts])
+    grad_f, grad_cols = None, []
+    for (cols, labels, m1, m2, m3), (raw, cy, angle_raw, angle), lo, hi in reversed(
+            list(zip(parts, saved, bounds[:-1], bounds[1:]))):
+        block = p[:, lo:hi]
+        g_pos = block.sum(axis=1, keepdims=True) * (-s)
+        gc = block * s
+        if angle is not None:
+            ga = -g_pos * np.sin(angle)
+            ga = ga * ((angle_raw >= 0.0) & (angle_raw <= np.pi))
+            g_pos = -(ga * m1) / np.sqrt(1.0 - cy * cy)
+        gc[rows, labels] += g_pos[:, 0]
+        gc = gc * ((raw >= -LIM) & (raw <= LIM))
+        part = gc @ cols.T
+        grad_f = part if grad_f is None else grad_f + part
+        column_major = cols.flags.f_contiguous and not cols.flags.c_contiguous
+        grad_cols.insert(0, (gc.T @ f).T if column_major else f.T @ gc)
+    return m + np.log(total), grad_f, grad_cols
 
 
-def run_margin_lse(parts, s, g):
-    leaves = [(Tensor(cos, requires_grad=True), labels, Tensor(pos, requires_grad=True))
-              for cos, labels, pos in parts]
-    out = T.margin_logsumexp(leaves, s)
+def run_margin_lse(f, parts, s, g):
+    """The op on leaves, with upstream gradient ``g``: (loss, features
+    gradient, each part's columns gradient)."""
+    feats = Tensor(f, requires_grad=True)
+    leaves = [(Tensor(cols, requires_grad=True), labels, *m) for cols, labels, *m in parts]
+    out = T.margin_logsumexp(feats, leaves, s)
     T.reduce_sum(T.mul(out, Tensor(g))).backward()
-    return out.data, [(cos.grad, pos.grad) for cos, _, pos in leaves]
+    return out.data, feats.grad, [cols.grad for cols, *_ in leaves]
+
+
+def unit_rows(rng, rows, dim):
+    x = rng.standard_normal((rows, dim))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 @st.composite
 def margin_lse_inputs(draw):
     rng = rng_for(draw(st.integers(0, 2**32 - 1)))
-    rows = draw(st.integers(1, 8))
+    rows, dim = draw(st.integers(1, 8)), draw(st.integers(2, 6))
+    f = unit_rows(rng, rows, dim)
     parts = []
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(1, 40))
-        cos = rng.uniform(-1.0, 1.0, size=(rows, k))
-        if draw(st.booleans()):  # within 1e-6 of the poles
-            cos = np.sign(cos) * (1.0 - rng.uniform(0.0, 1e-6, size=cos.shape))
+        cols = unit_rows(rng, k, dim).T
+        for j in draw(st.lists(st.integers(0, k - 1), max_size=3)):  # at or near a pole
+            cols[:, j] = f[j % rows] * rng.choice([-1.0, 1.0]) + rng.uniform(0, 1e-8, size=dim)
+        if draw(st.booleans()):
+            cols = np.asfortranarray(cols)
         # few distinct labels, so several rows share one
         labels = rng.integers(0, draw(st.integers(1, k)), size=rows)
-        pos = cos[np.arange(rows), labels][:, None] - rng.uniform(0.0, 0.5, size=(rows, 1))
-        parts.append((cos, labels, pos))
+        plain = draw(st.booleans())
+        m1 = 1.0 if plain else draw(st.sampled_from([1.0, 1.35, 2.0]))
+        m2 = 0.0 if plain else draw(st.sampled_from([0.0, 0.3, 0.5]))
+        parts.append((cols, labels, m1, m2, draw(st.sampled_from([0.0, 0.2, 0.4]))))
     s = draw(st.sampled_from([16.0, 30.5, 64.0]))
-    return parts, s, rng.uniform(0.1, 2.0, size=(rows, 1))
+    return f, parts, s, rng.uniform(0.1, 2.0, size=(rows, 1))
 
 
 class TestMarginLogSumExp:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(margin_lse_inputs())
     def test_bytes_match_the_unfused_chain(self, case):
-        parts, s, g = case
-        loss, grads = run_margin_lse(parts, s, g)
-        want_loss, want_grads = margin_lse_oracle(parts, s, g)
-        assert loss.tobytes() == want_loss.tobytes()
-        for (cos_grad, pos_grad), (want_cos, want_pos) in zip(grads, want_grads):
-            assert cos_grad.tobytes() == want_cos.tobytes()
-            assert pos_grad.tobytes() == want_pos.tobytes()
-        for (cos, labels, _), (cos_grad, _) in zip(parts, grads):
-            assert (cos_grad[np.arange(len(labels)), labels] == 0.0).all()
+        # bit-identical where no part has an angular margin; within 1e-12
+        # (relative to the largest entry) otherwise
+        f, parts, s, g = case
+        got = run_margin_lse(f, parts, s, g)
+        want = margin_lse_oracle(f, parts, s, g)
+        pairs = [(got[0], want[0]), (got[1], want[1]), *zip(got[2], want[2])]
+        if all(m1 == 1.0 and m2 == 0.0 for _, _, m1, m2, _ in parts):
+            for a, b in pairs:
+                assert a.tobytes() == b.tobytes()
+        else:
+            for a, b in pairs:
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
 
     def test_large_margins_stay_finite(self):
         # s = 64 with positives 1e3 below and above the cosines: exponents of
         # +-6.4e4 overflow exp without the max shift
         rng = rng_for(34)
-        cos = rng.uniform(-1.0, 1.0, size=(4, 6))
+        f, cols = unit_rows(rng, 4, 3), unit_rows(rng, 6, 3).T
         labels = np.array([0, 5, 2, 2])
         for margin in (1e3, -1e3):
-            pos = cos[np.arange(4), labels][:, None] - margin
-            loss, grads = run_margin_lse([(cos, labels, pos)], 64.0, np.full((4, 1), 0.25))
-            assert np.isfinite(loss).all() and np.isfinite(grads[0][0]).all()
-            assert np.isfinite(grads[0][1]).all()
+            loss, grad_f, (grad_c,) = run_margin_lse(f, [(cols, labels, 1.0, 0.0, margin)], 64.0,
+                                                     np.full((4, 1), 0.25))
+            assert np.isfinite(loss).all() and np.isfinite(grad_f).all()
+            assert np.isfinite(grad_c).all()
             if margin > 0:
                 assert (loss > 6e4).all()
             else:
                 assert (loss == 0.0).all()
 
     def test_second_backward_through_the_node_is_rejected(self):
-        cos = Tensor(np.zeros((2, 3)), requires_grad=True)
-        out = T.margin_logsumexp([(cos, np.array([0, 1]), Tensor(np.zeros((2, 1))))], 16.0)
+        cols = Tensor(np.zeros((2, 3)), requires_grad=True)
+        out = T.margin_logsumexp(Tensor(np.eye(2)), [(cols, np.array([0, 1]), 1, 0, 0)], 16.0)
         T.reduce_sum(out).backward()
         with pytest.raises(GraphError):
             T.reduce_mean(out).backward()
 
     def test_shape_errors(self):
-        cos, pos = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1)))
-        with pytest.raises(ShapeError):
-            T.margin_logsumexp([], 16.0)
-        with pytest.raises(ShapeError):
-            T.margin_logsumexp([(cos, np.array([0, 1]), Tensor(np.zeros((3, 1))))], 16.0)
-        with pytest.raises(ShapeError):
-            T.margin_logsumexp([(cos, np.array([0]), pos)], 16.0)
-        with pytest.raises(ShapeError):
-            T.margin_logsumexp([(cos, np.array([0, 3]), pos)], 16.0)
+        f, cols = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+        for features, parts in [
+            (f, []),  # no part
+            (Tensor(np.zeros(3)), [(cols, np.array([0, 1]), 1, 0, 0)]),  # rank-1 features
+            (f, [(Tensor(np.zeros((2, 4))), np.array([0, 1]), 1, 0, 0)]),  # inner dimension
+            (f, [(Tensor(np.zeros(3)), np.array([0, 1]), 1, 0, 0)]),  # rank-1 columns
+            (f, [(cols, np.array([0]), 1, 0, 0)]),  # one label for two rows
+            (f, [(cols, np.array([0, 4]), 1, 0, 0)]),  # a label past the last column
+            (f, [(cols, np.array([-1, 0]), 1, 0, 0)]),  # a negative label
+        ]:
+            with pytest.raises(ShapeError):
+                T.margin_logsumexp(features, parts, 16.0)
 
 
 class TestShapeAlgebra:
@@ -392,49 +457,75 @@ class TestShapeAlgebra:
 
 
 class TestClipArccos:
+    """The cosine clamp and the arccos of the margin positive inside
+    ``margin_logsumexp``."""
+
     def test_clip_gradient_mask(self):
-        x = Tensor(np.array([[-2.0, 0.5, 2.0]]), requires_grad=True)
-        T.reduce_sum(T.clip(x, -1.0, 1.0)).backward()
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
+        # a column equal to a feature row: its cosine 1 is clamped, and that
+        # entry passes exactly zero gradient, as the row's label entry and as
+        # a negative; on unit-basis features the columns' gradient is the
+        # cosines' own
+        rng = rng_for(8)
+        block = np.hstack([np.eye(3)[:, :1], unit_rows(rng, 2, 3).T])
+        for labels in (np.array([0, 1, 2]), np.array([1, 0, 2])):
+            cols = Tensor(block.copy(), requires_grad=True)
+            T.reduce_sum(T.margin_logsumexp(Tensor(np.eye(3)), [(cols, labels, 1.0, 0.0, 0.2)],
+                                            16.0)).backward()
+            assert cols.grad[0, 0] == 0.0
+            assert (np.delete(cols.grad.ravel(), 0) != 0.0).all()
 
     @settings(max_examples=300, deadline=None)
     @given(
-        rows=st.integers(0, 4),
-        cols=st.integers(0, 6),
-        bounds=st.sampled_from([(-1.0 + 1e-7, 1.0 - 1e-7), (0.0, np.pi), (-2.0, -2.0)]),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 6),
         specials=st.lists(st.tuples(st.integers(0, 23), st.sampled_from(
             ["lo", "hi", "below", "above", "nan", "-0"])), max_size=4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_lazy_mask_matches_the_two_comparison_mask(self, rows, cols, bounds, specials,
-                                                       seed):
-        # the mask is built only when some input is outside [lo, hi] or NaN
-        lo, hi = bounds
+    def test_lazy_mask_matches_the_two_comparison_mask(self, rows, cols, specials, seed):
+        # the mask is built only when some cosine is outside the clamp or NaN;
+        # a NaN reaches no other row
         rng = rng_for(seed)
-        x = rng.uniform(lo, hi, size=(rows, cols))
-        values = {"lo": lo, "hi": hi, "below": np.nextafter(lo, -np.inf),
-                  "above": np.nextafter(hi, np.inf), "nan": np.nan, "-0": -0.0}
+        x = rng.uniform(-LIM, LIM, size=(rows, cols))
+        values = {"lo": -LIM, "hi": LIM, "below": np.nextafter(-LIM, -np.inf),
+                  "above": np.nextafter(LIM, np.inf), "nan": np.nan, "-0": -0.0}
         for where, kind in specials:
-            if x.size:
-                x.flat[where % x.size] = values[kind]
-        upstream = rng.standard_normal((rows, cols))
-        upstream[rng.random((rows, cols)) < 0.2] = -0.0
-        t = Tensor(x, requires_grad=True)
-        out = T.clip(t, lo, hi)
-        T.reduce_sum(T.mul(out, Tensor(upstream))).backward()
-        mask = (x >= lo) & (x <= hi)
-        assert out.data.tobytes() == np.clip(x, lo, hi).tobytes()
-        assert t.grad.tobytes() == (upstream * mask).tobytes()
+            x.flat[where % x.size] = values[kind]
+        labels = rng.integers(0, cols, size=rows)
+        g = rng.uniform(0.1, 2.0, size=(rows, 1))
+        parts = [(x, labels, 1.0, 0.0, 0.3)]
+        loss, _, (grad,) = run_margin_lse(np.eye(rows), parts, 16.0, g)
+        want_loss, _, (want_grad,) = margin_lse_oracle(np.eye(rows), parts, 16.0, g)
+        clean = ~np.isnan(x).any(axis=1)
+        assert loss[clean].tobytes() == want_loss[clean].tobytes()
+        assert grad[clean].tobytes() == want_grad[clean].tobytes()
+        np.testing.assert_array_equal(loss, want_loss)
+        np.testing.assert_array_equal(grad, want_grad)
 
     def test_arccos_domain(self):
-        with pytest.raises(DomainError):
-            T.arccos(Tensor([1.5]))
+        # a product outside [-1, 1] is clamped before the arccos of an
+        # angular margin, so loss and gradients stay finite and the clamped
+        # entry passes no gradient
+        cols = Tensor(np.array([[1.5, 0.2, -1.5]]), requires_grad=True)
+        for label in (0, 1):
+            cols.grad = None
+            out = T.margin_logsumexp(Tensor([[1.0]]), [(cols, np.array([label]), 1.35, 0.3, 0)],
+                                     16.0)
+            T.reduce_sum(out).backward()
+            assert np.isfinite(out.data).all() and np.isfinite(cols.grad).all()
+            assert cols.grad[0, 0] == 0.0 and cols.grad[0, 2] == 0.0
 
     def test_arccos_cos_gradients(self):
+        # the ArcFace, SphereFace and combined positives against central differences
         rng = rng_for(9)
-        x = Tensor(rng.uniform(-0.9, 0.9, size=(2, 3)))
-        assert finite_difference_check(lambda t: T.reduce_sum(T.arccos(t)), x) < 1e-6
-        assert finite_difference_check(lambda t: T.reduce_sum(T.cos(t)), x) < 1e-6
+        f, c = unit_rows(rng, 3, 4), unit_rows(rng, 5, 4).T
+        labels = np.array([0, 3, 3])
+        for m1, m2 in ((1.0, 0.3), (1.35, 0.0), (1.2, 0.2)):
+            def objective(f, c, m1=m1, m2=m2):
+                return T.reduce_sum(T.margin_logsumexp(f, [(c, labels, m1, m2, 0.1)], 4.0))
+
+            assert finite_difference_check(lambda t: objective(t, Tensor(c)), Tensor(f)) < 1e-6
+            assert finite_difference_check(lambda t: objective(Tensor(f), t), Tensor(c)) < 1e-6
 
 
 class TestLogSumExp:
@@ -447,17 +538,20 @@ class TestLogSumExp:
 
     # The mask is margin_logsumexp's: each row's label entry is left out.
     def test_mask_excludes_entries(self):
-        # the label cosine is huge, but excluded: 1 + exp(0) + exp(0)
-        cos = np.array([[100.0, 0.0, 0.0]])
-        loss, _ = run_margin_lse([(cos, np.array([0]), np.zeros((1, 1)))], 1.0, np.ones((1, 1)))
+        # the label cosine is the largest, but excluded: 1 + exp(0) + exp(0)
+        cos = np.array([[0.9, 0.5, 0.5]])
+        loss, _, _ = run_margin_lse(np.eye(1), [(cos, np.array([0]), 1.0, 0.0, 0.4)], 1.0,
+                                    np.ones((1, 1)))
         assert loss[0, 0] == np.log(3.0)
 
     def test_masked_gradient_is_zero(self):
-        cos = np.array([[1.0, 2.0, 3.0]])
-        _, grads = run_margin_lse([(cos, np.array([1]), np.full((1, 1), 0.5))], 1.0,
-                                  np.ones((1, 1)))
-        assert grads[0][0][0, 1] == 0.0
-        assert (grads[0][0][0, [0, 2]] > 0).all()
+        # the label entry gets nothing from the sum: its gradient is the
+        # positive's alone, minus the sum of the other entries' gradients
+        cos = np.array([[0.1, 0.2, 0.3]])
+        _, _, (grad,) = run_margin_lse(np.eye(1), [(cos, np.array([1]), 1.0, 0.0, 0.5)], 1.0,
+                                       np.ones((1, 1)))
+        assert (grad[0, [0, 2]] > 0).all()
+        assert grad[0, 1] == -(grad[0, 0] + grad[0, 2])
 
 
 class TestBackward:
@@ -491,24 +585,27 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [12.0])
 
     def test_first_gradient_is_a_copy_in_the_tensor_order(self):
-        g = np.arange(6.0).reshape(3, 2)
+        # an aliased first gradient, or one laid out otherwise, is copied into
+        # the tensor's order; a fresh one in the tensor's layout is taken
         for data in (np.zeros((3, 2)), np.asfortranarray(np.zeros((3, 2)))):
-            x = Tensor(data, requires_grad=True)
-            T._accumulate(x, g)
-            assert not np.shares_memory(x.grad, g)
-            assert x.grad.flags.f_contiguous == data.flags.f_contiguous
-            assert x.grad.flags.c_contiguous == data.flags.c_contiguous
-            np.testing.assert_array_equal(x.grad, g)
-            T._accumulate(x, g)
-            np.testing.assert_array_equal(x.grad, 2.0 * g)
-            np.testing.assert_array_equal(g, np.arange(6.0).reshape(3, 2))
+            for aliased in (True, False):
+                g = np.arange(6.0).reshape(3, 2)
+                x = Tensor(data, requires_grad=True)
+                T._accumulate(x, g, aliased=aliased)
+                taken = not aliased and data.flags.c_contiguous
+                assert np.shares_memory(x.grad, g) == taken
+                assert x.grad.flags.f_contiguous == data.flags.f_contiguous
+                assert x.grad.flags.c_contiguous == data.flags.c_contiguous
+                np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2))
+                T._accumulate(x, np.arange(6.0).reshape(3, 2))
+                np.testing.assert_array_equal(x.grad, 2.0 * np.arange(6.0).reshape(3, 2))
 
     def test_forward_determinism(self):
         def run():
             rng = rng_for(12)
             a = Tensor(rng.standard_normal((4, 4)))
             gain, bias = Tensor(rng.uniform(0.5, 1.5, size=4)), Tensor(rng.standard_normal(4))
-            return T.layer_norm(T.matmul(a, a), gain, bias).data.tobytes()
+            return T.layer_norm(T.affine(a, a, bias), gain, bias).data.tobytes()
 
         assert run() == run()
 
@@ -555,10 +652,87 @@ def test_random_op_gradients_sweep(seed):
     gain, bias = Tensor(rng.uniform(0.5, 1.5, size=n)), Tensor(rng.standard_normal(n))
 
     def f(t):
-        z = T.matmul(t, b)
-        z = T.add(z, probe)
+        z = T.affine(t, b, probe)
         z = T.gelu(z)
         z = T.layer_norm(z, gain, bias)
         return T.reduce_sum(T.mul(z, probe))
 
     assert finite_difference_check(f, a) < 1e-4
+
+
+ROWS, COLS = 4, 6  # COLS = 3 * 2: attention over 2 groups with 1 head of width 2
+
+
+def _leaf(rng, shape, requires_grad):
+    return Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=requires_grad)
+
+
+@st.composite
+def random_graphs(draw):
+    """A scalar root over a random graph of the public ops, and every tensor
+    in it. The pool holds (ROWS, COLS) nodes, each an operand of later ops;
+    all of them and every (ROWS, 1) or scalar side output sum into the root."""
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    flag = lambda: draw(st.booleans())  # noqa: E731
+    pool = [_leaf(rng, (ROWS, COLS), True), _leaf(rng, (ROWS, COLS), flag())]
+    made, sides = list(pool), []
+    for _ in range(draw(st.integers(1, 12))):
+        a, b = (pool[draw(st.integers(0, len(pool) - 1))] for _ in range(2))
+        kind = draw(st.sampled_from(["add", "sub", "mul", "add_scalar", "gelu", "l2", "layer_norm",
+                                     "affine", "reshape", "attention", "row_logsumexp",
+                                     "take_per_row", "margin", "reduce"]))
+        extra = []
+        if kind in ("add", "sub", "mul"):
+            out = getattr(T, kind)(a, b)
+        elif kind == "add_scalar":
+            out = T.add(a, 0.5)
+        elif kind == "gelu":
+            out = T.gelu(a)
+        elif kind == "l2":
+            out = T.l2_normalize_rows(a)
+        elif kind == "layer_norm":
+            extra = [_leaf(rng, (COLS,), flag()), _leaf(rng, (COLS,), flag())]
+            out = T.layer_norm(a, *extra)
+        elif kind == "affine":
+            extra = [_leaf(rng, (COLS, COLS), flag()), _leaf(rng, (COLS,), flag())]
+            out = T.affine(a, *extra)
+        elif kind == "reshape":
+            extra = [T.reshape(a, (COLS, ROWS))]
+            out = T.reshape(extra[0], (ROWS, COLS))
+        elif kind == "attention":
+            extra = [T.attention(a, 2, 1), _leaf(rng, (2, COLS), flag()),
+                     _leaf(rng, (COLS,), flag())]
+            out = T.affine(*extra)
+        elif kind == "row_logsumexp":
+            out = T.row_logsumexp(a)
+        elif kind == "take_per_row":
+            out = T.take_per_row(a, rng.integers(0, COLS, size=ROWS))
+        elif kind == "margin":
+            extra = [_leaf(rng, (COLS, 5), flag()), _leaf(rng, (COLS, 3), flag())]
+            if flag():
+                extra = [Tensor(np.asfortranarray(t.data), requires_grad=t.requires_grad)
+                         for t in extra]
+            out = T.margin_logsumexp(a, [(extra[0], rng.integers(0, 5, size=ROWS), 1.2, 0.1, 0.2),
+                                         (extra[1], rng.integers(0, 3, size=ROWS), 1.0, 0.0, 0.3)],
+                                     8.0)
+        else:
+            out = T.reduce_mean(a) if flag() else T.reduce_sum(a)
+        made += [out, *extra]
+        (pool if out.shape == (ROWS, COLS) else sides).append(out)
+    root = T.reduce_sum(pool[0])  # a leaf that requires gradient
+    for out in pool[1:] + sides:
+        root = T.add(root, T.reduce_sum(out) if out.shape else out)
+    return root, made + [root]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_no_two_gradients_share_memory(graph):
+    # a first gradient taken without a copy is one nothing else holds
+    root, tensors = graph
+    root.backward()
+    grads = [t.grad for t in tensors if t.grad is not None]
+    assert grads
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+        assert not any(np.shares_memory(g, t.data) for t in tensors)
