@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from perfbench.harness import environment_stamp
 from perfbench.workloads import WORKLOADS
 from spheretrain.engine import train
 
@@ -10,16 +11,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_loghashes_prints_the_hashes_of_what_train_writes(tmp_path):
-    proc = subprocess.run([sys.executable, "tools/loghashes.py", "--shrunk", "--seeds", "0"],
-                          cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    # the tool inherits this process's BLAS setting, so both train alike
+    proc = subprocess.run([sys.executable, "tools/loghashes.py", "--shrunk"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300, check=True)
     first, *lines = proc.stdout.splitlines()
-    name, threads = first.split()
-    assert name == "blas_threads" and int(threads) >= 1
+    assert first == f"blas_threads {environment_stamp(ROOT)['blas_threads']}"
     expected = []
     for workload in WORKLOADS.values():
-        setup = workload.shrunk().build(0)
-        log, ckpt = tmp_path / f"{workload.name}.csv", tmp_path / f"{workload.name}.lvpc"
-        train(setup.config, setup.dataset, setup.encoder, log_path=log, checkpoint_path=ckpt)
-        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (log, ckpt)]
-        expected.append(f"{workload.name} 0 log={digests[0]} ckpt={digests[1]}")
+        for seed in (0, 1):
+            setup = workload.shrunk().build(seed)
+            stem = tmp_path / f"{workload.name}-{seed}"
+            log, ckpt = stem.with_suffix(".csv"), stem.with_suffix(".lvpc")
+            train(setup.config, setup.dataset, setup.encoder, log_path=log, checkpoint_path=ckpt)
+            digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (log, ckpt)]
+            expected.append(f"{workload.name} {seed} log={digests[0]} ckpt={digests[1]}")
     assert lines == expected

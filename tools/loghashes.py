@@ -1,21 +1,20 @@
 """Print the sha256 of the log and the checkpoint that ``train()`` writes for
-each benchmark workload config and seed, with the process's BLAS thread count.
+each benchmark workload config at seeds 0 and 1, with the BLAS thread count.
 
 Run from the repository root:
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/loghashes.py [--seeds 0 1]
-        [--workload NAME ...] [--shrunk]
+    OPENBLAS_NUM_THREADS=1 python3 tools/loghashes.py [--shrunk]
 
 One line per (workload, seed): ``workload seed log=<sha256> ckpt=<sha256>``,
-after a first line ``blas_threads N``. Two trees that print the same lines at
-the same thread count train bit-identically on these configs. ``--shrunk``
-uses each workload's small copy (``Workload.shrunk()``).
+after a first line ``blas_threads N``, the benchmark stamp's count (the
+``OPENBLAS_NUM_THREADS`` setting, 0 when unset). Two trees that print the same
+lines at the same thread count train bit-identically on these configs.
+``--shrunk`` uses each workload's small copy (``Workload.shrunk()``).
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import sys
 import tempfile
@@ -24,24 +23,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from perfbench.harness import environment_stamp  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from spheretrain.engine import train  # noqa: E402
 
-
-def blas_threads() -> int | None:
-    """The thread count of the OpenBLAS this process has loaded (numpy's),
-    asked of the library itself; None if no OpenBLAS is mapped."""
-    with open("/proc/self/maps") as maps:
-        paths = {line.split()[-1] for line in maps if "openblas" in line.split()[-1]}
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            if hasattr(lib, symbol):
-                get = getattr(lib, symbol)
-                get.argtypes, get.restype = [], ctypes.c_int
-                return get()
-    return None
+SEEDS = (0, 1)
 
 
 def hashes(name: str, seed: int, shrunk: bool) -> tuple[str, str]:
@@ -56,14 +42,11 @@ def hashes(name: str, seed: int, shrunk: bool) -> tuple[str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    parser.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS),
-                        default=list(WORKLOADS))
     parser.add_argument("--shrunk", action="store_true")
     args = parser.parse_args(argv)
-    print(f"blas_threads {blas_threads()}", flush=True)
-    for name in args.workload:
-        for seed in args.seeds:
+    print(f"blas_threads {environment_stamp(ROOT)['blas_threads']}", flush=True)
+    for name in WORKLOADS:
+        for seed in SEEDS:
             log, ckpt = hashes(name, seed, args.shrunk)
             print(f"{name} {seed} log={log} ckpt={ckpt}", flush=True)
     return 0
